@@ -50,9 +50,3 @@ for title, s in (
     key = (tuple(map(tuple, s.dot.tolist())),
            tuple(map(tuple, s.diamond.tolist())))
     print(f"  {title}: {'found' if key in keys else 'MISSING'}")
-
-print("\ndeterminism: partitioning the search over logical workers never")
-print("changes the outcome:")
-for workers in (1, 2, 8):
-    res = rw.enumerate_racks(4, workers=workers)
-    print(f"  workers = {workers}: {res.count} labeled, {res.iso_count} classes")

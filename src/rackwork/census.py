@@ -66,16 +66,11 @@ def _canonical_form_pair(dot, diamond, n: int) -> tuple:
                for p in itertools.permutations(range(n)))
 
 
-def _partition(items: list, workers: int) -> list[list]:
-    """Contiguous chunks so the merged order never depends on worker count."""
-    workers = max(1, workers)
-    size = (len(items) + workers - 1) // workers
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _rack_dots_with_first_rows(first_rows, perms, n):
-    """Backtracking over rows; each left-distributivity constraint is
-    checked as soon as the last row it mentions is assigned."""
+def _rack_dots(n):
+    """Backtracking over rows that are permutations; each
+    left-distributivity constraint is checked as soon as the last row it
+    mentions is assigned."""
+    perms = list(itertools.permutations(range(n)))
     found = []
 
     def consistent(rows):
@@ -105,14 +100,11 @@ def _rack_dots_with_first_rows(first_rows, perms, n):
                 extend(rows)
             rows.pop()
 
-    for first in first_rows:
-        rows = [first]
-        if consistent(rows):
-            extend(rows)
+    extend([])
     return found
 
 
-def enumerate_racks(n: int, keep: bool = False, workers: int = 1) -> EnumResult:
+def enumerate_racks(n: int, keep: bool = False) -> EnumResult:
     """All labeled racks on 0..n-1: dot rows range over permutations with
     left self-distributivity pruned during search, diamond derived by row
     inversion, and the remaining axiom re-verified on each candidate."""
@@ -120,13 +112,8 @@ def enumerate_racks(n: int, keep: bool = False, workers: int = 1) -> EnumResult:
     if not 1 <= n <= cap:
         raise CarrierTooLarge(f"rack enumeration supports 1 <= n <= {cap}")
 
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
-    dots = []
-    for chunk in _partition(perms, workers):
-        dots.extend(_rack_dots_with_first_rows(chunk, perms, n))
-
     survivors = []
-    for dot_rows in dots:
+    for dot_rows in _rack_dots(n):
         dot = OpTable(n, np.asarray(dot_rows))
         diamond = derive_diamond(dot)
         s = Structure(n, dot, diamond, RACK)
@@ -194,8 +181,7 @@ def _self_distributive_tables(n: int, right: bool) -> list[tuple]:
     return found
 
 
-def enumerate_weak_racks(n: int, keep: bool = False,
-                         workers: int = 1) -> EnumResult:
+def enumerate_weak_racks(n: int, keep: bool = False) -> EnumResult:
     """All labeled weak racks (dot, diamond) on 0..n-1.
 
     For n <= 2 a plain exhaustive scan over every table pair; for larger
@@ -223,35 +209,34 @@ def enumerate_weak_racks(n: int, keep: bool = False,
     iso: set[tuple] = set()
     count = 0
 
-    for chunk in _partition(list(dot_candidates), workers):
-        for flat in chunk:
-            d = np.asarray(flat, dtype=np.int64).reshape(n, n)
-            # weak compatibility (ab)<>a = a(b<>a) for all diamond
-            # candidates at once: per pair (a, b) compare gathered columns
-            ok = np.ones(m, dtype=bool)
-            for a in range(n):
-                row = d[a]
-                for b in range(n):
-                    lhs = diamond_arrays[:, row[b] * n + a]
-                    rhs = row[diamond_arrays[:, b * n + a]]
-                    ok &= lhs == rhs
-                    if not ok.any():
-                        break
+    for flat in dot_candidates:
+        d = np.asarray(flat, dtype=np.int64).reshape(n, n)
+        # weak compatibility (ab)<>a = a(b<>a) for all diamond
+        # candidates at once: per pair (a, b) compare gathered columns
+        ok = np.ones(m, dtype=bool)
+        for a in range(n):
+            row = d[a]
+            for b in range(n):
+                lhs = diamond_arrays[:, row[b] * n + a]
+                rhs = row[diamond_arrays[:, b * n + a]]
+                ok &= lhs == rhs
                 if not ok.any():
                     break
-            for e_flat in diamond_arrays[ok]:
-                s = Structure(
-                    n,
-                    OpTable(n, d),
-                    OpTable(n, e_flat.reshape(n, n)),
-                    WEAK_RACK,
-                )
-                if check_weak_rack_axioms(s, max_witnesses=1).passed:
-                    count += 1
-                    iso.add(_canonical_form_pair(
-                        s.dot.tolist(), s.diamond.tolist(), n))
-                    if keep:
-                        survivors.append(s)
+            if not ok.any():
+                break
+        for e_flat in diamond_arrays[ok]:
+            s = Structure(
+                n,
+                OpTable(n, d),
+                OpTable(n, e_flat.reshape(n, n)),
+                WEAK_RACK,
+            )
+            if check_weak_rack_axioms(s, max_witnesses=1).passed:
+                count += 1
+                iso.add(_canonical_form_pair(
+                    s.dot.tolist(), s.diamond.tolist(), n))
+                if keep:
+                    survivors.append(s)
 
     return EnumResult(
         n=n,

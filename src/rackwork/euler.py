@@ -15,21 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .structures import (
-    WEAK_RACK,
-    WITNESS_CAP,
-    AxiomReport,
-    Structure,
-    _witnesses,
-)
+from .structures import WEAK_RACK, WITNESS_CAP, AxiomReport, Structure
+from .tables import _scan
 from .trig import TrigContext
 
 # clause identifiers for check_euler_formula
 EULER_FORMULA = "exp_e(x,x) = (cos x, sin x)"
 EULER_IDENTITY = "exp_e(pi,pi) = (u, o)"
-
-EXHAUSTIVE_HOM_LIMIT = 8       # n^4 scan up to here, seeded sampling beyond
-HOM_SAMPLES = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,50 +139,34 @@ def check_hyperbolic_factorization(ctx: TrigContext) -> bool:
 
 
 def check_exp_homomorphism(s: Structure, a: int,
-                           max_witnesses: int = WITNESS_CAP,
-                           samples: int = HOM_SAMPLES,
-                           seed: int = 0) -> AxiomReport:
+                           max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Check exp_a((x,y)(u,v)) = exp_a(x,y) exp_a(u,v) in the box product.
 
-    Exhaustive over all n^4 quadruples for n <= 8; for larger carriers a
-    seeded uniform sample of at least `samples` quadruples is used.
-    Witnesses are (x, y, u, v).
+    Exact over all n^4 quadruples for every carrier: the box product splits
+    coordinates, so the quadruple mask is an OR of two n^2 masks, one over
+    (x, u) and one over (y, v).  Witnesses are (x, y, u, v).
     """
     if not 0 <= a < s.n:
         raise IndexOutOfRange(f"{a} outside carrier {s.n}")
-    n = s.n
     d = s.dot.entries
     e = s.diamond.entries
     ea = d[a]          # x -> a.x
     sa = e[:, a]       # y -> y<>a
     name = "exp_a((x,y)(u,v)) = exp_a(x,y) exp_a(u,v)"
 
-    # the box product splits coordinates: the first outputs involve only
-    # (x, u), the second only (y, v), so the n^4 mask is an OR of two n^2 masks
-    bad1 = ea[d] != d[ea[:, None], ea[None, :]]   # a.(xu) vs (a.x)(a.u)
-    lhs2 = sa[e.T]                                # [y, v] -> (v<>y)<>a
-    rhs2 = e[sa[None, :], sa[:, None]]            # [y, v] -> (v<>a)<>(y<>a)
-    bad2 = lhs2 != rhs2
+    # bad1[x, u]: a.(xu) vs (a.x)(a.u); bad2[y, v]: (v<>y)<>a vs (v<>a)<>(y<>a)
+    bad1 = ea[d] != d[ea[:, None], ea[None, :]]
+    bad2 = sa[e.T] != e[sa[None, :], sa[:, None]]
 
-    if n <= EXHAUSTIVE_HOM_LIMIT:
-        mask4 = bad1[:, None, :, None] | bad2[None, :, None, :]
-        failures = [(name, w) for w in _witnesses(mask4, max_witnesses)]
-        return AxiomReport(passed=not failures, failures=failures)
-
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, n, size=(max(samples, HOM_SAMPLES), 4))
-    hit = bad1[draws[:, 0], draws[:, 2]] | bad2[draws[:, 1], draws[:, 3]]
-    bad_rows = draws[hit]
-    order = np.lexsort(bad_rows.T[::-1]) if bad_rows.size else []
+    # (x, y) fails somewhere iff row x of bad1 or row y of bad2 does; walk
+    # those pairs in lex order and list their failing (u, v) in lex order
     failures = []
-    seen = set()
-    for idx in order:
-        w = tuple(int(v) for v in bad_rows[idx])
-        if w not in seen:
-            seen.add(w)
-            failures.append((name, w))
-            if len(failures) >= max_witnesses:
-                break
+    for x, y in np.argwhere(bad1.any(1)[:, None] | bad2.any(1)[None, :]):
+        uv = np.argwhere(bad1[x][:, None] | bad2[y][None, :])
+        failures += [(name, (int(x), int(y), int(u), int(v)))
+                     for u, v in uv[:max_witnesses - len(failures)]]
+        if len(failures) >= max_witnesses:
+            break
     return AxiomReport(passed=not failures, failures=failures)
 
 
@@ -203,18 +179,13 @@ def check_euler_formula(ctx: TrigContext,
     on sin(pi) = o, so reporting tools present it as full-rack-only there.
     """
     s = ctx.s
-    n = s.n
-    d = s.dot.entries
-    e = s.diamond.entries
-    cos = d[ctx.e]
-    sin = e[:, ctx.e]
+    cos = s.dot.entries[ctx.e]
+    sin = s.diamond.entries[:, ctx.e]
     ex = exp_map(s, ctx.e)
     c1, c2 = ex.components()
-    diag = np.arange(n)
-    failures = []
-
-    bad = (c1[diag, diag] != cos) | (c2[diag, diag] != sin)
-    failures += [(EULER_FORMULA, w) for w in _witnesses(bad, max_witnesses)]
+    failures = [(EULER_FORMULA, w) for w in _scan(
+        lambda x: (c1[x, x] != cos[x]) | (c2[x, x] != sin[x]),
+        s.n, 1, max_witnesses)]
 
     got = ex.apply(ctx.pi, ctx.pi)
     if got != (ctx.u, ctx.o):

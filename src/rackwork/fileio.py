@@ -37,6 +37,18 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidFile(message)
 
 
+def _is_int(v) -> bool:
+    """JSON true/false load as bool, a subclass of int; they are not
+    integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _carrier(doc: dict, path: str) -> int:
+    n = doc.get("n")
+    _require(_is_int(n) and n >= 1, f"{path}: n must be a positive integer")
+    return n
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -54,7 +66,7 @@ def _check_matrix(mat, n: int, what: str) -> None:
         _require(isinstance(row, list) and len(row) == n,
                  f"{what} rows must have length {n}")
         for v in row:
-            _require(isinstance(v, int) and 0 <= v < n,
+            _require(_is_int(v) and 0 <= v < n,
                      f"{what} entries must be integers in [0, {n - 1}]")
 
 
@@ -97,8 +109,7 @@ def load_structure(path: str) -> LoadedStructure:
     doc = _read_json(path)
     kind = doc.get("kind")
     _require(kind in KINDS, f"{path}: kind must be one of {KINDS}")
-    n = doc.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{path}: n must be a positive integer")
+    n = _carrier(doc, path)
     _check_matrix(doc.get("dot"), n, f"{path}: dot")
     _check_matrix(doc.get("diamond"), n, f"{path}: diamond")
     labels = doc.get("labels")
@@ -128,8 +139,7 @@ def save_group(path: str, g: GroupTable,
 def load_group(path: str) -> tuple[GroupTable, list[str] | None]:
     """Read a multiplication table and validate it as a group on load."""
     doc = _read_json(path)
-    n = doc.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{path}: n must be a positive integer")
+    n = _carrier(doc, path)
     _check_matrix(doc.get("mul"), n, f"{path}: mul")
     labels = doc.get("labels")
     _check_labels(labels, n)
@@ -154,13 +164,12 @@ def load_pair_map(path: str) -> PairMap:
     """Read an explicit pair map: n and a list of n^2 output pairs in
     (x, y) -> x*n + y input order."""
     doc = _read_json(path)
-    n = doc.get("n")
-    _require(isinstance(n, int) and n >= 1, f"{path}: n must be a positive integer")
+    n = _carrier(doc, path)
     out = doc.get("out")
     _require(isinstance(out, list) and len(out) == n * n,
              f"{path}: out must list {n * n} pairs")
     for pair in out:
         _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(v, int) and 0 <= v < n for v in pair),
+                 and all(_is_int(v) and 0 <= v < n for v in pair),
                  f"{path}: out entries must be pairs of indices in [0, {n - 1}]")
     return PairMap(n, np.asarray(out, dtype=np.int64))

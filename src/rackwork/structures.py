@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CarrierTooLarge, IndexOutOfRange, KindMismatch, SizeMismatch
-from .tables import GroupTable, OpTable, derive_diamond, is_left_invertible
+from .tables import GroupTable, OpTable, _scan, derive_diamond, is_left_invertible
 
 RACK = "rack"
 WEAK_RACK = "weak_rack"
@@ -62,41 +62,10 @@ class AxiomReport:
     failures: list = field(default_factory=list)
 
 
-def _witnesses(mask: np.ndarray, cap: int) -> list[tuple[int, ...]]:
-    bad = np.argwhere(mask)
-    return [tuple(int(v) for v in row) for row in bad[:cap]]
-
-
-_SLAB_LIMIT = 64  # above this, triple scans run one outer index at a time
-
-
-def _left_distrib_mask(d: np.ndarray) -> np.ndarray:
-    n = d.shape[0]
-    if n <= _SLAB_LIMIT:
-        lhs = d[np.arange(n)[:, None, None], d[None, :, :]]   # a(bc)
-        rhs = d[d[:, :, None], d[:, None, :]]                 # (ab)(ac)
-        return lhs != rhs
-    out = np.empty((n, n, n), dtype=bool)
-    for a in range(n):
-        row = d[a]
-        np.not_equal(row[d], d[row[:, None], row[None, :]], out=out[a])
-    return out
-
-
-def _right_distrib_mask(e: np.ndarray) -> np.ndarray:
-    n = e.shape[0]
-    if n <= _SLAB_LIMIT:
-        a = np.arange(n)[:, None, None]
-        b = np.arange(n)[None, :, None]
-        c = np.arange(n)[None, None, :]
-        return e[e[c, b], a] != e[e[c, a], e[b, a]]
-    out = np.empty((n, n, n), dtype=bool)
-    et = e.T
-    for a in range(n):
-        col = e[:, a]
-        # [b, c] grids of (c<>b)<>a and (c<>a)<>(b<>a)
-        np.not_equal(col[et], e[col[None, :], col[:, None]], out=out[a])
-    return out
+def _report(laws, n: int, cap: int) -> AxiomReport:
+    """Scan each (name, arity, law) in turn, up to cap witnesses apiece."""
+    failures = [(name, w) for name, k, law in laws for w in _scan(law, n, k, cap)]
+    return AxiomReport(passed=not failures, failures=failures)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,52 +98,40 @@ class Structure:
         )
 
 
+def _left_distrib(d):
+    """a(bc) = (ab)(ac); d stands for d[b, c]."""
+    return lambda a, b, c: d[a, d] != d[d[a, b], d[a, c]]
+
+
+def _right_distrib(e):
+    """(c<>b)<>a = (c<>a)<>(b<>a); e.T stands for e[c, b]."""
+    return lambda a, b, c: e[e.T, a] != e[e[c, a], e[b, a]]
+
+
 def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustively test the four full-rack axioms (triple axioms over all
     n^3 triples, cancellation axioms over all n^2 pairs)."""
-    n = s.n
     d = s.dot.entries
     e = s.diamond.entries
-    rng = np.arange(n)
-    failures = []
-
-    failures += [(AX_LEFT_DISTRIB, w)
-                 for w in _witnesses(_left_distrib_mask(d), max_witnesses)]
-
-    got = e[d, rng[:, None]]                       # (ab) <> a
-    failures += [(AX_CANCEL_OUT, w)
-                 for w in _witnesses(got != rng[None, :], max_witnesses)]
-
-    got = d[rng[:, None], e.T]                     # a (b <> a)
-    failures += [(AX_CANCEL_IN, w)
-                 for w in _witnesses(got != rng[None, :], max_witnesses)]
-
-    failures += [(AX_RIGHT_DISTRIB, w)
-                 for w in _witnesses(_right_distrib_mask(e), max_witnesses)]
-
-    return AxiomReport(passed=not failures, failures=failures)
+    laws = (
+        (AX_LEFT_DISTRIB, 3, _left_distrib(d)),
+        (AX_CANCEL_OUT, 2, lambda a, b: e[d[a, b], a] != b),
+        (AX_CANCEL_IN, 2, lambda a, b: d[a, e[b, a]] != b),
+        (AX_RIGHT_DISTRIB, 3, _right_distrib(e)),
+    )
+    return _report(laws, s.n, max_witnesses)
 
 
 def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustively test the three weak-rack axioms."""
-    n = s.n
     d = s.dot.entries
     e = s.diamond.entries
-    rng = np.arange(n)
-    failures = []
-
-    failures += [(AX_LEFT_DISTRIB, w)
-                 for w in _witnesses(_left_distrib_mask(d), max_witnesses)]
-
-    lhs = e[d, rng[:, None]]                       # (ab) <> a
-    rhs = d[rng[:, None], e.T]                     # a (b <> a)
-    failures += [(AX_WEAK_COMPAT, w)
-                 for w in _witnesses(lhs != rhs, max_witnesses)]
-
-    failures += [(AX_RIGHT_DISTRIB, w)
-                 for w in _witnesses(_right_distrib_mask(e), max_witnesses)]
-
-    return AxiomReport(passed=not failures, failures=failures)
+    laws = (
+        (AX_LEFT_DISTRIB, 3, _left_distrib(d)),
+        (AX_WEAK_COMPAT, 2, lambda a, b: e[d[a, b], a] != d[a, e[b, a]]),
+        (AX_RIGHT_DISTRIB, 3, _right_distrib(e)),
+    )
+    return _report(laws, s.n, max_witnesses)
 
 
 def _verify_kind(s: Structure) -> None:
@@ -299,17 +256,15 @@ def check_morphism(f, s1: Structure, s2: Structure,
         raise SizeMismatch(f"map must list {s1.n} images, got shape {F.shape}")
     if F.size and (F.min() < 0 or F.max() >= s2.n):
         raise IndexOutOfRange("map image out of range for the target carrier")
-    failures = []
+    d1, e1 = s1.dot.entries, s1.diamond.entries
+    d2, e2 = s2.dot.entries, s2.diamond.entries
     laws = (
-        ("f(ab) = f(a)f(b)", s1.dot.entries, s2.dot.entries),
-        ("f(a diamond b) = f(a) diamond f(b)",
-         s1.diamond.entries, s2.diamond.entries),
+        ("f(ab) = f(a)f(b)", 2,
+         lambda a, b: F[d1[a, b]] != d2[F[a], F[b]]),
+        ("f(a diamond b) = f(a) diamond f(b)", 2,
+         lambda a, b: F[e1[a, b]] != e2[F[a], F[b]]),
     )
-    for name, t1, t2 in laws:
-        lhs = F[t1]
-        rhs = t2[F[:, None], F[None, :]]
-        failures += [(name, w) for w in _witnesses(lhs != rhs, max_witnesses)]
-    return AxiomReport(passed=not failures, failures=failures)
+    return _report(laws, s1.n, max_witnesses)
 
 
 def derived_diamond_matches(s: Structure) -> bool:

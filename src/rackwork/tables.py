@@ -7,6 +7,7 @@ immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,46 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.int64)
     out.setflags(write=False)
     return out
+
+
+_SLAB_CELLS = 1 << 18  # larger scans walk the first variable value by value
+
+
+@functools.lru_cache(maxsize=64)
+def _grids(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Read-only index grids for k variables over 0..n-1, one axis per
+    variable; cached because tiny scans, as in the census, spend as long
+    building them as evaluating the law."""
+    return tuple(_freeze(g) for g in np.ix_(*[range(n)] * k))
+
+
+def _scan(law, n: int, k: int, cap: int) -> list[tuple[int, ...]]:
+    """The first `cap` failures, in lexicographic order, of a law over all
+    k-tuples of carrier elements.
+
+    `law` takes k broadcastable index grids, one axis per variable, and
+    returns the failure mask.  Up to _SLAB_CELLS instances it is called once
+    over the whole domain; above that the first variable is passed as a
+    plain int, one value at a time, and the law returns a mask over the
+    other k-1 axes.  A subterm over the trailing variables in axis order is
+    the table itself: write d[a, d], not d[a, d[b, c]], so that it is not
+    gathered again for every first value.
+    """
+    if n ** k <= _SLAB_CELLS:
+        chunks = [((), law(*_grids(n, k)))]
+    else:
+        rest = _grids(n, k - 1)
+        chunks = (((a,), law(a, *rest)) for a in range(n))
+    found: list[tuple[int, ...]] = []
+    for head, bad in chunks:
+        if not bad.any():
+            continue
+        bad = np.broadcast_to(bad, (n,) * (k - len(head)))
+        found += [head + tuple(map(int, w))
+                  for w in np.argwhere(bad)[:cap - len(found)]]
+        if len(found) >= cap:
+            break
+    return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +182,8 @@ def validate_group(mul: OpTable) -> GroupTable:
         inv[a] = hits[0]
 
     # (a b) c vs a (b c) over the full cube; first witness in lex order.
-    lhs = m[m[:, :, None], rng[None, None, :]]
-    rhs = m[rng[:, None, None], m[None, :, :]]
-    bad = np.argwhere(lhs != rhs)
-    if bad.size:
-        a, b, c = (int(v) for v in bad[0])
-        raise NotAssociative(a, b, c)
+    bad = _scan(lambda a, b, c: m[m[a, b], c] != m[a, m], n, 3, 1)
+    if bad:
+        raise NotAssociative(*bad[0])
 
     return GroupTable(n, mul, identity, inv)

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, KindMismatch
-from .structures import (
-    RACK,
-    WEAK_RACK,
-    WITNESS_CAP,
-    Structure,
-    _from_arrays,
-    _witnesses,
-)
+from .structures import RACK, WEAK_RACK, WITNESS_CAP, Structure, _from_arrays
+from .tables import _scan
 
 # property identifiers, used verbatim in reports
 P_COS_PI = "cos(pi) = u"
@@ -151,17 +145,14 @@ def check_trig_properties(ctx: TrigContext,
         [] if cos[ctx.pi] == ctx.u else [(ctx.pi, int(cos[ctx.pi]))])
     add(P_SIN_PI,
         [] if sin[ctx.pi] == ctx.o else [(ctx.pi, int(sin[ctx.pi]))])
-    add(P_COS_DOT,
-        _witnesses(cos[d] != d[cos[:, None], cos[None, :]], max_witnesses))
-    add(P_COS_DIAMOND,
-        _witnesses(cos[e] != e[cos[:, None], cos[None, :]], max_witnesses))
-    add(P_SIN_DOT,
-        _witnesses(sin[d] != d[sin[:, None], sin[None, :]], max_witnesses))
-    add(P_SIN_DIAMOND,
-        _witnesses(sin[e] != e[sin[:, None], sin[None, :]], max_witnesses))
-    add(P_SIN_COS, _witnesses(sin[cos] != np.arange(n), max_witnesses))
-    add(P_COS_SIN, _witnesses(cos[sin] != np.arange(n), max_witnesses))
-    add(P_EXCHANGE, _witnesses(sin[cos] != cos[sin], max_witnesses))
+    for name, f, t in ((P_COS_DOT, cos, d), (P_COS_DIAMOND, cos, e),
+                       (P_SIN_DOT, sin, d), (P_SIN_DIAMOND, sin, e)):
+        add(name, _scan(lambda x, y: f[t[x, y]] != t[f[x], f[y]],
+                        n, 2, max_witnesses))
+    add(P_SIN_COS, _scan(lambda x: sin[cos[x]] != x, n, 1, max_witnesses))
+    add(P_COS_SIN, _scan(lambda x: cos[sin[x]] != x, n, 1, max_witnesses))
+    add(P_EXCHANGE, _scan(lambda x: sin[cos[x]] != cos[sin[x]],
+                          n, 1, max_witnesses))
 
     return TrigReport(properties=tuple(checks))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierMismatch, IndexOutOfRange
-from .structures import WITNESS_CAP, AxiomReport, Structure, _witnesses
+from .structures import WITNESS_CAP, AxiomReport, Structure, _report
 from .euler import PairMap, exp_map, pair_map_from_components
 
 POSITIONS = (12, 13, 23)
@@ -61,23 +61,20 @@ def _apply_lift(comps, positions, state):
     return (x, c1[y, z], c2[y, z])
 
 
-def _run_word(word, n):
-    """Apply lifted maps right-to-left to the open grid of all n^3 triples."""
-    x = np.broadcast_to(np.arange(n)[:, None, None], (n, n, n))
-    y = np.broadcast_to(np.arange(n)[None, :, None], (n, n, n))
-    z = np.broadcast_to(np.arange(n)[None, None, :], (n, n, n))
-    state = (x, y, z)
+def _run_word(word, state):
+    """Apply lifted maps right-to-left to a triple of index grids."""
     for comps, pos in reversed(word):
         state = _apply_lift(comps, pos, state)
     return state
 
 
 def _equation_report(name, lhs_word, rhs_word, n, max_witnesses):
-    a = _run_word(lhs_word, n)
-    b = _run_word(rhs_word, n)
-    bad = (a[0] != b[0]) | (a[1] != b[1]) | (a[2] != b[2])
-    failures = [(name, w) for w in _witnesses(bad, max_witnesses)]
-    return AxiomReport(passed=not failures, failures=failures)
+    def law(*start):
+        a = _run_word(lhs_word, start)
+        b = _run_word(rhs_word, start)
+        return (a[0] != b[0]) | (a[1] != b[1]) | (a[2] != b[2])
+
+    return _report([(name, 3, law)], n, max_witnesses)
 
 
 def check_qybe(f: PairMap, max_witnesses: int = WITNESS_CAP) -> AxiomReport:

@@ -192,10 +192,7 @@ def test_criterion_11_enumeration():
     # 1, 2, 13, 114 tables (frozen against an unpruned full scan)
     assert classes == [1, 2, 6, 19]
     assert labeled == [1, 2, 13, 114]
-    for workers in (2, 4):
-        again = rw.enumerate_racks(4, workers=workers)
-        assert (again.count, again.iso_count) == (114, 19)
-    record(11, "rack counts n=1..4, worker-invariant", t0, 5.0)
+    record(11, "rack counts n=1..4", t0, 5.0)
 
 
 def test_criterion_12_cli_contract(tmp_path, capsys):

@@ -69,14 +69,10 @@ class TestRackEnumeration:
             assert rw.check_rack_axioms(s).passed
             assert s.kind == rw.RACK
 
-    def test_deterministic_across_worker_counts(self):
-        baseline = rw.enumerate_racks(3, keep=True)
-        base_dots = [s.dot.tolist() for s in baseline.structures]
-        for workers in (2, 3, 8):
-            res = rw.enumerate_racks(3, keep=True, workers=workers)
-            assert res.count == baseline.count
-            assert res.iso_count == baseline.iso_count
-            assert [s.dot.tolist() for s in res.structures] == base_dots
+    def test_kept_structures_in_lex_order(self):
+        res = rw.enumerate_racks(3, keep=True)
+        dots = [s.dot.tolist() for s in res.structures]
+        assert dots == sorted(dots)
 
     def test_cap(self, monkeypatch):
         monkeypatch.delenv("RACKWORK_MAX_N", raising=False)
@@ -125,10 +121,6 @@ class TestWeakRackEnumeration:
     def test_n3_pruned_mode(self):
         res = rw.enumerate_weak_racks(3)
         assert res.count == 13352
-
-    def test_n3_deterministic_across_workers(self):
-        assert (rw.enumerate_weak_racks(3, workers=4).count
-                == rw.enumerate_weak_racks(3).count)
 
     def test_every_kept_weak_structure_verifies(self):
         res = rw.enumerate_weak_racks(2, keep=True)

@@ -123,6 +123,19 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
 
+    def test_boolean_table_entries_are_exit_2(self, tmp_path, capsys):
+        # the two-point swap rack ab = 1 - b, written with true/false
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({
+            "kind": "rack",
+            "n": 2,
+            "dot": [[True, False], [True, False]],
+            "diamond": [[True, True], [False, False]],
+        }))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "integers" in err
+
     def test_unchecked_kind_classifies(self, tmp_path, capsys):
         s = rw.boolean_weak_rack_implication(1)
         path = tmp_path / "u.json"
@@ -210,15 +223,17 @@ class TestYbeSystem:
         assert code == 1
         assert "(1, 1, 0)" in text
 
-    def test_euler_sampled_note_on_large_carrier(self, tmp_path, capsys,
-                                                 conj_file):
+    def test_euler_exact_on_large_carrier(self, tmp_path, capsys,
+                                          conj_file):
         box = str(tmp_path / "box.json")
         assert run(capsys, "make", "product-dual", conj_file,
                    "--out", box)[0] == 0
-        code, text, _ = run(capsys, "euler", box, "--e", "7", "--o", "0",
-                            "--seed", "5")
+        code, text, _ = run(capsys, "euler", box, "--e", "7", "--o", "0")
         assert code == 0
-        assert "sampled (seed=5)" in text
+        assert "[pass] exp_e is a box-product homomorphism" in text
+        assert "note:" not in text
+        assert run(capsys, "euler", box, "--e", "7", "--o", "0",
+                   "--seed", "5")[0] == 2
 
     def test_system_conj_s3(self, capsys, conj_file):
         code, text, _ = run(capsys, "system", conj_file, "--e", "1")

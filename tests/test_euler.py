@@ -66,22 +66,34 @@ class TestExpHomomorphism:
             for a in range(s.n):
                 assert rw.check_exp_homomorphism(s, a).passed, (name, a)
 
-    def test_sampled_path_on_large_carrier(self, fleet):
+    def test_exact_on_large_carrier(self, fleet):
         box = dict(fleet)["box_conj_s3"]
         assert box.n == 36
-        rep = rw.check_exp_homomorphism(box, 7, seed=123)
-        assert rep.passed
+        assert rw.check_exp_homomorphism(box, 7).passed
 
-    def test_sampled_path_finds_failures_deterministically(self):
-        # addition mod 9 is not self-distributive: 1+(x+u) != (1+x)+(1+u),
-        # so the sampled check must report failures, stably per seed
-        t = rw.make_op_table(9, [(a + b) % 9 for a in range(9)
-                                 for b in range(9)])
-        s = rw.make_structure(t, t)
-        r1 = rw.check_exp_homomorphism(s, 1, seed=7)
-        r2 = rw.check_exp_homomorphism(s, 1, seed=7)
-        assert not r1.passed
-        assert r1.failures == r2.failures
+    @pytest.mark.parametrize("dot, diamond", [
+        ("add", "add"), ("trivial", "add"), ("add", "trivial")])
+    def test_exact_witnesses_match_brute_force_mask(self, dot, diamond):
+        # addition mod 9 is not self-distributive: 1+(x+u) != (1+x)+(1+u)
+        n = 9
+        tables = {"add": [(a + b) % n for a in range(n) for b in range(n)],
+                  "trivial": [b for a in range(n) for b in range(n)]}
+        s = rw.make_structure(rw.make_op_table(n, tables[dot]),
+                              rw.make_op_table(n, tables[diamond]))
+        d, e = s.dot.entries, s.diamond.entries
+        x, y, u, v = np.ix_(*[np.arange(n)] * 4)
+        for a in (0, 1, 4):
+            # exp_a((x,y)(u,v)) vs exp_a(x,y) exp_a(u,v) over the n^4 grid
+            c1, c2 = rw.exp_map(s, a).components()
+            p, q = d[x, u], e[v, y]
+            mask = ((c1[p, q] != d[c1[x, y], c1[u, v]])
+                    | (c2[p, q] != e[c2[u, v], c2[x, y]]))
+            expected = [tuple(map(int, w)) for w in np.argwhere(mask)]
+            for cap in (32, len(expected) + 1):
+                rep = rw.check_exp_homomorphism(s, a, max_witnesses=cap)
+                assert [w for _, w in rep.failures] == expected[:cap]
+                assert rep.passed == (not expected)
+            assert expected or a == 0
 
     def test_exhaustive_witness_on_broken_structure(self):
         # dot = XOR with diamond chosen to break right self-distributivity

@@ -79,6 +79,30 @@ class TestStructureFiles:
         assert not rw.check_rack_axioms(loaded.structure).passed
 
 
+# JSON true/false load as bool, a subclass of int; tables must reject them
+BOOLEAN_DOCS = [
+    ("structure", {"kind": "rack", "n": 2,
+                   "dot": [[True, False], [True, False]],
+                   "diamond": [[True, True], [False, False]]}),
+    ("structure", {"kind": "rack", "n": True, "dot": [[0]],
+                   "diamond": [[0]]}),
+    ("group", {"n": 2, "mul": [[False, True], [True, False]]}),
+    ("group", {"n": True, "mul": [[0]]}),
+    ("pair_map", {"n": 2, "out": [[False, False], [False, True],
+                                  [True, False], [True, True]]}),
+    ("pair_map", {"n": True, "out": [[0, 0]]}),
+]
+
+
+@pytest.mark.parametrize("loader, doc", BOOLEAN_DOCS)
+def test_booleans_are_not_indices(tmp_path, loader, doc):
+    import json
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(rw.InvalidFile):
+        getattr(fileio, f"load_{loader}")(str(path))
+
+
 class TestGroupFiles:
     def test_round_trip_and_validation(self, tmp_path, s3_group):
         path = tmp_path / "s3.json"

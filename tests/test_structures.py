@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import rackwork as rw
@@ -81,22 +82,80 @@ class TestWeakRackAxioms:
         assert compat == [(1, 0), (1, 1)]
 
 
+def both_walks(monkeypatch, check):
+    """check() under the single-call scan, then under the per-value walk
+    that carriers above the slab size take."""
+    from rackwork import tables
+    whole = check()
+    monkeypatch.setattr(tables, "_SLAB_CELLS", 1)
+    return whole, check()
+
+
+def add_mod(n):
+    return rw.make_op_table(n, [(a + b) % n for a in range(n)
+                                for b in range(n)])
+
+
 class TestSlabbedScans:
     def test_slab_path_matches_direct_path(self, conj_s3, monkeypatch):
-        from rackwork import structures as st
-        add3 = rw.make_op_table(3, [(a + b) % 3 for a in range(3)
-                                    for b in range(3)])
-        broken = rw.Structure(3, add3, add3, rw.UNCHECKED)
+        broken = rw.Structure(3, add_mod(3), add_mod(3), rw.UNCHECKED)
+        constant = rw.Structure(4, rw.make_op_table(4, [0] * 16),
+                                rw.make_op_table(4, [1] * 16), rw.UNCHECKED)
+        checks = [
+            lambda: rw.check_rack_axioms(conj_s3),
+            lambda: rw.check_rack_axioms(broken),
+            lambda: rw.check_weak_rack_axioms(broken),
+            lambda: rw.check_rack_axioms(constant),
+            lambda: rw.check_weak_rack_axioms(constant, max_witnesses=5),
+        ]
+        direct, slab = both_walks(
+            monkeypatch, lambda: [check() for check in checks])
+        assert direct[0].passed and slab[0].passed
+        assert not any(rep.passed for rep in direct[1:])
+        assert [r.failures for r in direct] == [r.failures for r in slab]
 
-        direct_ok = rw.check_rack_axioms(conj_s3)
-        direct_bad = rw.check_rack_axioms(broken)
-        monkeypatch.setattr(st, "_SLAB_LIMIT", 2)
-        slab_ok = rw.check_rack_axioms(conj_s3)
-        slab_bad = rw.check_rack_axioms(broken)
+    def test_qybe_witnesses(self, conj_s3, monkeypatch):
+        n = 4
+        f = rw.PairMap(n, np.asarray([[(x + y) % n, x] for x in range(n)
+                                      for y in range(n)]))
+        x = rw.exp_map(conj_s3, 1)
+        direct, slab = both_walks(monkeypatch, lambda: [
+            rw.check_qybe(f), rw.check_qybe(f, max_witnesses=3),
+            rw.check_qybe(rw.w_map(conj_s3)),
+            rw.check_mixed(x, rw.z_map(conj_s3), 23)])
+        assert not direct[0].passed and len(direct[1].failures) == 3
+        assert direct[2].passed and direct[3].passed
+        assert [r.failures for r in direct] == [r.failures for r in slab]
 
-        assert direct_ok.passed and slab_ok.passed
-        assert direct_bad.failures == slab_bad.failures
-        assert not direct_bad.passed
+    def test_validate_group_witness(self, monkeypatch):
+        # the smallest non-associative loop; first bad triple (1, 1, 2)
+        loop = rw.make_op_table(5, [0, 1, 2, 3, 4, 1, 0, 3, 4, 2, 2, 3, 4,
+                                    0, 1, 3, 4, 1, 2, 0, 4, 2, 0, 1, 3])
+
+        def check():
+            with pytest.raises(rw.NotAssociative) as exc:
+                rw.validate_group(loop)
+            return exc.value.witness, rw.validate_group(add_mod(5)).identity
+
+        assert both_walks(monkeypatch, check) == (((1, 1, 2), 0),) * 2
+
+    def test_morphism_witnesses(self, conj_s3, monkeypatch):
+        p = rw.product_with_dual(conj_s3)
+        diag = [x * 6 + x for x in range(6)]
+        direct, slab = both_walks(
+            monkeypatch, lambda: rw.check_morphism(diag, conj_s3, p))
+        assert direct.failures[0][1] == (4, 1)
+        assert direct.failures == slab.failures
+
+    def test_trig_and_euler_witnesses(self, monkeypatch):
+        broken = rw.Structure(3, add_mod(3), rw.make_op_table(3, [0, 2, 1] * 3),
+                              rw.UNCHECKED)
+        ctx = rw.make_trig_context(broken, 1, 2)
+        direct, slab = both_walks(monkeypatch, lambda: (
+            rw.check_trig_properties(ctx), rw.check_euler_formula(ctx)))
+        assert not direct[0].passed
+        assert direct[0].properties == slab[0].properties
+        assert direct[1].failures == slab[1].failures
 
 
 class TestConjugationRack:

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import euler
+from rackwork.structures import AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB
 
 
 def xor_pair_map() -> rw.PairMap:
@@ -167,3 +170,54 @@ class TestSystem:
     def test_out_of_range_base(self, conj_s3):
         with pytest.raises(rw.IndexOutOfRange):
             rw.check_yb_system(conj_s3, 6)
+
+
+def left_self_distributive(t) -> bool:
+    """a(bc) = (ab)(ac) by a plain triple loop."""
+    n = len(t)
+    return all(t[a][t[b][c]] == t[t[a][b]][t[a][c]]
+               for a, b, c in itertools.product(range(n), repeat=3))
+
+
+def right_self_distributive(t) -> bool:
+    """(c<>b)<>a = (c<>a)<>(b<>a) by a plain triple loop."""
+    n = len(t)
+    return all(t[t[c][b]][a] == t[t[c][a]][t[b][a]]
+               for a, b, c in itertools.product(range(n), repeat=3))
+
+
+@st.composite
+def op_tables(draw):
+    """Tables on n <= 4 points: arbitrary ones, which are rarely
+    self-distributive beyond n = 2, and the families a.b = f(b) and
+    a.b = f(a), which are left and right self-distributive for any f."""
+    n = draw(st.integers(1, 4))
+    cells = st.integers(0, n - 1)
+    shape = draw(st.sampled_from(("any", "rows", "columns")))
+    if shape == "any":
+        flat = draw(st.lists(cells, min_size=n * n, max_size=n * n))
+    else:
+        f = draw(st.lists(cells, min_size=n, max_size=n))
+        flat = [f[b] if shape == "rows" else f[a]
+                for a in range(n) for b in range(n)]
+    return rw.make_op_table(n, flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_tables())
+def test_qybe_w_iff_dot_left_self_distributive(t):
+    s = rw.Structure(t.n, t, t, rw.UNCHECKED)
+    expected = left_self_distributive(t.tolist())
+    assert rw.check_qybe(rw.w_map(s)).passed == expected
+    axioms = rw.check_weak_rack_axioms(s).failures
+    assert all(ax != AX_LEFT_DISTRIB for ax, _ in axioms) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_tables())
+def test_qybe_z_iff_diamond_right_self_distributive(t):
+    s = rw.Structure(t.n, t, t, rw.UNCHECKED)
+    expected = right_self_distributive(t.tolist())
+    assert rw.check_qybe(rw.z_map(s)).passed == expected
+    axioms = rw.check_weak_rack_axioms(s).failures
+    assert all(ax != AX_RIGHT_DISTRIB for ax, _ in axioms) == expected
