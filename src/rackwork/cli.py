@@ -183,13 +183,9 @@ def cmd_check(args) -> int:
         report.add_report("weak-rack axioms",
                           structures.check_weak_rack_axioms(s))
     else:
-        rack_rep = structures.check_rack_axioms(s)
-        weak_rep = structures.check_weak_rack_axioms(s)
-        verdict = structures.RACK if rack_rep.passed else (
-            structures.WEAK_RACK if weak_rep.passed else "neither")
+        verdict, weak_rep = structures.classify(s)
         report.set("classified", verdict)
-        report.add("rack or weak-rack axioms",
-                   rack_rep.passed or weak_rep.passed,
+        report.add("rack or weak-rack axioms", verdict != "neither",
                    [w for _, w in weak_rep.failures])
     return report.emit()
 

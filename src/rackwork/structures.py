@@ -18,8 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CarrierTooLarge, IndexOutOfRange, KindMismatch, SizeMismatch
-from .tables import GroupTable, OpTable, _scan, derive_diamond, is_left_invertible
+from .errors import (
+    CarrierTooLarge, IndexOutOfRange, KindMismatch, RackworkError, SizeMismatch,
+)
+from .tables import (
+    GroupTable, OpTable, _at, _narrow, _scan, derive_diamond, is_left_invertible,
+)
 
 RACK = "rack"
 WEAK_RACK = "weak_rack"
@@ -46,7 +50,8 @@ def max_carrier(default: int) -> int:
     try:
         return max(default, int(raw))
     except ValueError:
-        return default
+        raise RackworkError(
+            f"RACKWORK_MAX_N must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -100,12 +105,20 @@ class Structure:
 
 def _left_distrib(d):
     """a(bc) = (ab)(ac); d stands for d[b, c]."""
-    return lambda a, b, c: d[a, d] != d[d[a, b], d[a, c]]
+    d = _narrow(d, len(d))
+    return lambda a, b, c: _at(d, a, d) != _at(d, _at(d, a, b), _at(d, a, c))
 
 
 def _right_distrib(e):
-    """(c<>b)<>a = (c<>a)<>(b<>a); e.T stands for e[c, b]."""
-    return lambda a, b, c: e[e.T, a] != e[e[c, a], e[b, a]]
+    """(c<>b)<>a = (c<>a)<>(b<>a) is a(bc) = (ab)(ac) for the operation
+    a, c -> c<>a, with the same (a, b, c): one kernel, the same witnesses."""
+    return _left_distrib(e.T)
+
+
+def _cancellation(d, e):
+    """The two cancellation laws, (ab)<>a = b and a(b<>a) = b."""
+    return ((AX_CANCEL_OUT, 2, lambda a, b: e[d[a, b], a] != b),
+            (AX_CANCEL_IN, 2, lambda a, b: d[a, e[b, a]] != b))
 
 
 def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
@@ -115,8 +128,7 @@ def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomRe
     e = s.diamond.entries
     laws = (
         (AX_LEFT_DISTRIB, 3, _left_distrib(d)),
-        (AX_CANCEL_OUT, 2, lambda a, b: e[d[a, b], a] != b),
-        (AX_CANCEL_IN, 2, lambda a, b: d[a, e[b, a]] != b),
+        *_cancellation(d, e),
         (AX_RIGHT_DISTRIB, 3, _right_distrib(e)),
     )
     return _report(laws, s.n, max_witnesses)
@@ -132,6 +144,21 @@ def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> Ax
         (AX_RIGHT_DISTRIB, 3, _right_distrib(e)),
     )
     return _report(laws, s.n, max_witnesses)
+
+
+def classify(s: Structure, max_witnesses: int = WITNESS_CAP) -> tuple[str, AxiomReport]:
+    """The strongest kind s satisfies (RACK, WEAK_RACK or "neither") and
+    its weak-rack report.
+
+    A rack is exactly a weak rack whose cancellation laws hold (they give
+    (ab)<>a = b = a(b<>a)), so each triple law is scanned once, where
+    check_rack_axioms and check_weak_rack_axioms would scan it twice.
+    """
+    weak = check_weak_rack_axioms(s, max_witnesses)
+    if not weak.passed:
+        return "neither", weak
+    cancel = _report(_cancellation(s.dot.entries, s.diamond.entries), s.n, 1)
+    return (RACK if cancel.passed else WEAK_RACK), weak
 
 
 def _verify_kind(s: Structure) -> None:

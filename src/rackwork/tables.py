@@ -39,6 +39,40 @@ def _grids(n: int, k: int) -> tuple[np.ndarray, ...]:
     return tuple(_freeze(g) for g in np.ix_(*[range(n)] * k))
 
 
+def _narrow(t: np.ndarray, n: int) -> np.ndarray:
+    """t for a law scan on a carrier of size n.
+
+    Where _scan walks triple laws (n^3 > _SLAB_CELLS) this is a read-only
+    contiguous copy in the smallest unsigned dtype that holds n*n - 1
+    (uint16 up to n = 256, uint32 up to n = 65536), so that _at gathers
+    from it with one flat take.  Smaller carriers get t itself, so their
+    scans run plain int64 indexing.  Callers keep the copy for one check.
+    """
+    if n ** 3 <= _SLAB_CELLS:
+        return t
+    out = np.ascontiguousarray(t, dtype=np.min_scalar_type(n * n - 1))
+    out.setflags(write=False)
+    return out
+
+
+def _at(t: np.ndarray, i, j) -> np.ndarray:
+    """t[i, j] for a table t from _narrow and index grids i, j.
+
+    A table _narrow left in int64 is indexed as it is; its scans never
+    walk, so i is a grid.  On a narrowed t a plain int i (the walked first
+    variable) gathers from the row view, and grids gather from the flat
+    view at i * n + j, which numpy runs as one take where t[i, j] is a
+    two-array gather.  i * n + j cannot overflow even when i and j are
+    themselves narrowed gathers: every value is below n, so the flat
+    index is at most n*n - 1, which the dtype holds by construction.
+    """
+    if t.itemsize == 8:
+        return t[i, j]
+    if type(i) is int:
+        return t[i].take(j)
+    return t.ravel().take(i * len(t) + j)
+
+
 def _scan(law, n: int, k: int, cap: int) -> list[tuple[int, ...]]:
     """The first `cap` failures, in lexicographic order, of a law over all
     k-tuples of carrier elements.
@@ -49,7 +83,8 @@ def _scan(law, n: int, k: int, cap: int) -> list[tuple[int, ...]]:
     plain int, one value at a time, and the law returns a mask over the
     other k-1 axes.  A subterm over the trailing variables in axis order is
     the table itself: write d[a, d], not d[a, d[b, c]], so that it is not
-    gathered again for every first value.
+    gathered again for every first value.  Triple laws gather with _at from
+    tables passed through _narrow, so that the walk runs flat narrow takes.
     """
     if n ** k <= _SLAB_CELLS:
         chunks = [((), law(*_grids(n, k)))]
@@ -182,7 +217,9 @@ def validate_group(mul: OpTable) -> GroupTable:
         inv[a] = hits[0]
 
     # (a b) c vs a (b c) over the full cube; first witness in lex order.
-    bad = _scan(lambda a, b, c: m[m[a, b], c] != m[a, m], n, 3, 1)
+    t = _narrow(m, n)
+    bad = _scan(lambda a, b, c: _at(t, _at(t, a, b), c) != _at(t, a, t),
+                n, 3, 1)
     if bad:
         raise NotAssociative(*bad[0])
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CarrierMismatch, IndexOutOfRange
 from .structures import WITNESS_CAP, AxiomReport, Structure, _report
+from .tables import _at, _narrow
 from .euler import PairMap, exp_map, pair_map_from_components
 
 POSITIONS = (12, 13, 23)
@@ -55,10 +56,15 @@ def _apply_lift(comps, positions, state):
     c1, c2 = comps
     x, y, z = state
     if positions == 12:
-        return (c1[x, y], c2[x, y], z)
+        return (_at(c1, x, y), _at(c2, x, y), z)
     if positions == 13:
-        return (c1[x, z], y, c2[x, z])
-    return (x, c1[y, z], c2[y, z])
+        return (_at(c1, x, z), y, _at(c2, x, z))
+    return (x, _at(c1, y, z), _at(c2, y, z))
+
+
+def _components(f: PairMap):
+    """f's output coordinates as law-scan tables (see tables._narrow)."""
+    return tuple(_narrow(c, f.n) for c in f.components())
 
 
 def _run_word(word, state):
@@ -79,7 +85,7 @@ def _equation_report(name, lhs_word, rhs_word, n, max_witnesses):
 
 def check_qybe(f: PairMap, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustive quantum Yang-Baxter check over all n^3 starting triples."""
-    c = f.components()
+    c = _components(f)
     word_l = [(c, 12), (c, 13), (c, 23)]
     word_r = [(c, 23), (c, 13), (c, 12)]
     return _equation_report(EQ_QYBE, word_l, word_r, f.n, max_witnesses)
@@ -110,7 +116,7 @@ def check_mixed(a: PairMap, b: PairMap, partner_position: int = 12,
         raise CarrierMismatch(f"carriers differ: {a.n} vs {b.n}")
     if partner_position not in (12, 23):
         raise IndexOutOfRange("partner_position must be 12 or 23")
-    ca, cb = a.components(), b.components()
+    ca, cb = _components(a), _components(b)
     if partner_position == 12:
         name = EQ_MIXED_LOW
         word_l = [(ca, 23), (ca, 13), (cb, 12)]

@@ -145,6 +145,51 @@ class TestCheck:
         assert code == 0
         assert "weak_rack" in text
 
+    @pytest.mark.parametrize("kind", ["rack", "weak_rack", "neither", "compat"])
+    def test_unchecked_kind_scans_each_triple_law_once(
+            self, tmp_path, capsys, monkeypatch, conj_s3, kind):
+        from rackwork import structures
+        if kind == "rack":
+            dot, diamond = conj_s3.dot, conj_s3.diamond
+        elif kind == "weak_rack":
+            b = rw.boolean_weak_rack_implication(2)
+            dot, diamond = b.dot, b.diamond
+        elif kind == "neither":  # a + b mod 3 breaks both distributivities
+            dot = diamond = rw.make_op_table(
+                3, [(a + b) % 3 for a in range(3) for b in range(3)])
+        else:  # or / xor: self-distributive, only the compatibility fails
+            dot = rw.make_op_table(2, [0, 1, 1, 1])
+            diamond = rw.make_op_table(2, [0, 1, 1, 0])
+        s = rw.Structure(dot.n, dot, diamond, rw.UNCHECKED)
+        path = tmp_path / "u.json"
+        path.write_text(fileio.structure_to_json(s))
+        # the verdict and witnesses of the two full reports
+        rack_rep, weak_rep = rw.check_rack_axioms(s), rw.check_weak_rack_axioms(s)
+        verdict = "rack" if rack_rep.passed else (
+            "weak_rack" if weak_rep.passed else "neither")
+        assert verdict == ("neither" if kind == "compat" else kind)
+
+        triple_scans = []
+        real_scan = structures._scan
+
+        def spy(law, n, k, cap):
+            if k == 3:
+                triple_scans.append(law)
+            return real_scan(law, n, k, cap)
+
+        monkeypatch.setattr(structures, "_scan", spy)
+        code, text, _ = run(capsys, "check", str(path), "--json", "--all-witnesses")
+        assert len(triple_scans) == 2
+        doc = json.loads(text)
+        assert doc["data"]["classified"] == verdict
+        assert doc["checks"] == [{
+            "name": "rack or weak-rack axioms",
+            "passed": verdict != "neither",
+            "section": "main",
+            "witnesses": [list(w) for _, w in weak_rep.failures],
+        }]
+        assert code == (1 if verdict == "neither" else 0)
+
 
 class TestTrigEuler:
     def test_trig_conj_s3(self, capsys, conj_file):
@@ -317,6 +362,12 @@ class TestEnum:
         monkeypatch.delenv("RACKWORK_MAX_N", raising=False)
         code, _, err = run(capsys, "enum", "--n", "9")
         assert code == 2
+
+    def test_invalid_cap_env_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RACKWORK_MAX_N", "lots")
+        code, _, err = run(capsys, "enum", "--n", "2")
+        assert code == 2
+        assert "RACKWORK_MAX_N" in err and "'lots'" in err
 
 
 class TestCliPlumbing:

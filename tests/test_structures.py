@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import rackwork as rw
-from rackwork.structures import AX_CANCEL_OUT, AX_WEAK_COMPAT
+from rackwork.structures import (
+    AX_CANCEL_OUT, AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT,
+)
 
 from conftest import S3_ELEMS, compose, invert
 
@@ -82,12 +84,24 @@ class TestWeakRackAxioms:
         assert compat == [(1, 0), (1, 1)]
 
 
-def both_walks(monkeypatch, check):
-    """check() under the single-call scan, then under the per-value walk
-    that carriers above the slab size take."""
-    from rackwork import tables
+def both_walks(monkeypatch, check, narrowed=None):
+    """check() under the single-call int64 scan, then under the per-value
+    walk that carriers above the slab size take, where the triple-law
+    kernels gather from narrowed tables.  A list passed as `narrowed`
+    collects the dtypes the walk narrowed tables to."""
+    from rackwork import structures, tables, ybe
     whole = check()
     monkeypatch.setattr(tables, "_SLAB_CELLS", 1)
+    real_narrow = tables._narrow
+
+    def spy(t, n):
+        out = real_narrow(t, n)
+        if narrowed is not None:
+            narrowed.append(out.dtype)
+        return out
+
+    for module in (structures, tables, ybe):
+        monkeypatch.setattr(module, "_narrow", spy)
     return whole, check()
 
 
@@ -101,31 +115,46 @@ class TestSlabbedScans:
         broken = rw.Structure(3, add_mod(3), add_mod(3), rw.UNCHECKED)
         constant = rw.Structure(4, rw.make_op_table(4, [0] * 16),
                                 rw.make_op_table(4, [1] * 16), rw.UNCHECKED)
+        rng = np.random.default_rng(5)
+        rand = rw.Structure(5, *(rw.OpTable(5, rng.integers(0, 5, (5, 5)))
+                                 for _ in range(2)), rw.UNCHECKED)
         checks = [
             lambda: rw.check_rack_axioms(conj_s3),
             lambda: rw.check_rack_axioms(broken),
             lambda: rw.check_weak_rack_axioms(broken),
             lambda: rw.check_rack_axioms(constant),
             lambda: rw.check_weak_rack_axioms(constant, max_witnesses=5),
+            lambda: rw.check_weak_rack_axioms(rand, max_witnesses=1000),
         ]
+        narrowed = []
         direct, slab = both_walks(
-            monkeypatch, lambda: [check() for check in checks])
+            monkeypatch, lambda: [check() for check in checks], narrowed)
         assert direct[0].passed and slab[0].passed
         assert not any(rep.passed for rep in direct[1:])
+        assert {ax for ax, _ in direct[-1].failures} >= {AX_LEFT_DISTRIB,
+                                                        AX_RIGHT_DISTRIB}
         assert [r.failures for r in direct] == [r.failures for r in slab]
+        assert narrowed and all(dt == np.uint8 for dt in narrowed)
 
     def test_qybe_witnesses(self, conj_s3, monkeypatch):
         n = 4
         f = rw.PairMap(n, np.asarray([[(x + y) % n, x] for x in range(n)
                                       for y in range(n)]))
+        g = rw.PairMap(n, np.asarray([[(x * y + 1) % n, (x + 2 * y) % n]
+                                      for x in range(n) for y in range(n)]))
         x = rw.exp_map(conj_s3, 1)
+        narrowed = []
         direct, slab = both_walks(monkeypatch, lambda: [
             rw.check_qybe(f), rw.check_qybe(f, max_witnesses=3),
             rw.check_qybe(rw.w_map(conj_s3)),
-            rw.check_mixed(x, rw.z_map(conj_s3), 23)])
+            rw.check_mixed(x, rw.z_map(conj_s3), 23),
+            rw.check_mixed(f, g, 12, max_witnesses=100),
+            rw.check_mixed(g, f, 23, max_witnesses=100)], narrowed)
         assert not direct[0].passed and len(direct[1].failures) == 3
         assert direct[2].passed and direct[3].passed
+        assert not direct[4].passed and not direct[5].passed
         assert [r.failures for r in direct] == [r.failures for r in slab]
+        assert narrowed and all(dt == np.uint8 for dt in narrowed)
 
     def test_validate_group_witness(self, monkeypatch):
         # the smallest non-associative loop; first bad triple (1, 1, 2)
@@ -137,7 +166,9 @@ class TestSlabbedScans:
                 rw.validate_group(loop)
             return exc.value.witness, rw.validate_group(add_mod(5)).identity
 
-        assert both_walks(monkeypatch, check) == (((1, 1, 2), 0),) * 2
+        narrowed = []
+        assert both_walks(monkeypatch, check, narrowed) == (((1, 1, 2), 0),) * 2
+        assert narrowed == [np.uint8] * 2
 
     def test_morphism_witnesses(self, conj_s3, monkeypatch):
         p = rw.product_with_dual(conj_s3)
@@ -211,6 +242,12 @@ class TestBooleanWeakRacks:
         monkeypatch.setenv("RACKWORK_MAX_N", "512")
         s = rw.boolean_weak_rack_lattice(9)
         assert s.n == 512
+
+    @pytest.mark.parametrize("raw", ["abc", "512.0", ""])
+    def test_carrier_cap_env_invalid(self, monkeypatch, raw):
+        monkeypatch.setenv("RACKWORK_MAX_N", raw)
+        with pytest.raises(rw.RackworkError, match=f"RACKWORK_MAX_N.*'{raw}'"):
+            rw.boolean_weak_rack_lattice(2)
 
 
 class TestTrivialAndDual:

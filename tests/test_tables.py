@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import rackwork as rw
+from rackwork.tables import _at, _narrow
 from conftest import S3_ELEMS, compose, invert, s3_mul_table
 
 XOR = [0, 1, 1, 0]
@@ -137,3 +139,29 @@ def test_op_table_is_immutable():
 def test_op_table_equality():
     assert rw.make_op_table(2, XOR) == rw.make_op_table(2, XOR)
     assert rw.make_op_table(2, XOR) != rw.make_op_table(2, [0, 1, 1, 1])
+
+
+def test_narrow_dtype_by_carrier():
+    small = np.zeros((64, 64), dtype=np.int64)
+    assert _narrow(small, 64) is small  # scanned whole, in int64
+    assert _narrow(np.zeros((65, 65), dtype=np.int64), 65).dtype == np.uint16
+    assert _narrow(np.zeros((256, 256), dtype=np.int64), 256).dtype == np.uint16
+    assert _narrow(np.zeros((257, 257), dtype=np.int64), 257).dtype == np.uint32
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_narrow_flat_gather_matches_fancy_indexing(n):
+    rng = np.random.default_rng(n)
+    t = rng.integers(0, n, (n, n))
+    t[0, n - 1] = t[n - 1, 0] = t[n - 1, n - 1] = n - 1
+    nt = _narrow(t, n)
+    assert not nt.flags.writeable and nt.flags.c_contiguous
+    i, j = np.ix_(range(n), range(n))
+    # index grids in the narrow dtype, as a law's inner gathers produce
+    # them: the flat index i * n + j reaches n*n - 1 at (n - 1, n - 1)
+    ni, nj = i.astype(nt.dtype), j.astype(nt.dtype)
+    assert np.array_equal(_at(nt, i, j), t)
+    assert np.array_equal(_at(nt, ni, nj), t)
+    assert np.array_equal(_at(nt, _at(nt, ni, nj), _at(nt, nj, ni)), t[t, t.T])
+    for a in (0, n - 1):
+        assert np.array_equal(_at(nt, a, nt), t[a, t])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import euler
-from rackwork.structures import AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB
+from rackwork.structures import AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, WITNESS_CAP
 
 
 def xor_pair_map() -> rw.PairMap:
@@ -221,3 +221,29 @@ def test_qybe_z_iff_diamond_right_self_distributive(t):
     assert rw.check_qybe(rw.z_map(s)).passed == expected
     axioms = rw.check_weak_rack_axioms(s).failures
     assert all(ax != AX_RIGHT_DISTRIB for ax, _ in axioms) == expected
+
+
+@st.composite
+def table_pairs(draw):
+    """Arbitrary dot and diamond tables on n <= 5 points."""
+    n = draw(st.integers(1, 5))
+    flat = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    return rw.make_op_table(n, draw(flat)), rw.make_op_table(n, draw(flat))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_pairs())
+def test_qybe_exp_fails_where_the_factors_do_not_commute(tables):
+    # exp_a = f x g with f = d[a] and g = e[:, a]: both sides of QYBE send
+    # (x, y, z) to (f f x, ., g g z), with g f y on the left and f g y on
+    # the right, so the failures are the (x, y, z) with g(f(y)) != f(g(y)).
+    dot, diamond = tables
+    s = rw.Structure(dot.n, dot, diamond, rw.UNCHECKED)
+    n = s.n
+    for a in range(n):
+        f, g = dot.tolist()[a], [row[a] for row in diamond.tolist()]
+        bad_y = [y for y in range(n) if g[f[y]] != f[g[y]]]
+        expected = [(x, y, z) for x in range(n) for y in bad_y for z in range(n)]
+        rep = rw.check_qybe(rw.exp_map(s, a))
+        assert rep.passed == (not bad_y)
+        assert [w for _, w in rep.failures] == expected[:WITNESS_CAP]
