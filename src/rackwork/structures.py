@@ -146,7 +146,7 @@ def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> Ax
     return _report(laws, s.n, max_witnesses)
 
 
-def classify(s: Structure, max_witnesses: int = WITNESS_CAP) -> tuple[str, AxiomReport]:
+def classify(s: Structure) -> tuple[str, AxiomReport]:
     """The strongest kind s satisfies (RACK, WEAK_RACK or "neither") and
     its weak-rack report.
 
@@ -154,7 +154,7 @@ def classify(s: Structure, max_witnesses: int = WITNESS_CAP) -> tuple[str, Axiom
     (ab)<>a = b = a(b<>a)), so each triple law is scanned once, where
     check_rack_axioms and check_weak_rack_axioms would scan it twice.
     """
-    weak = check_weak_rack_axioms(s, max_witnesses)
+    weak = check_weak_rack_axioms(s)
     if not weak.passed:
         return "neither", weak
     cancel = _report(_cancellation(s.dot.entries, s.diamond.entries), s.n, 1)

@@ -22,8 +22,8 @@ from .errors import (
 )
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.int64)
+def _freeze(arr: np.ndarray, dtype=np.int64) -> np.ndarray:
+    out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -50,9 +50,7 @@ def _narrow(t: np.ndarray, n: int) -> np.ndarray:
     """
     if n ** 3 <= _SLAB_CELLS:
         return t
-    out = np.ascontiguousarray(t, dtype=np.min_scalar_type(n * n - 1))
-    out.setflags(write=False)
-    return out
+    return _freeze(t, np.min_scalar_type(n * n - 1))
 
 
 def _at(t: np.ndarray, i, j) -> np.ndarray:
