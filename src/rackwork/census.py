@@ -1,13 +1,16 @@
 """Exhaustive enumeration of racks and weak racks on tiny carriers.
 
-Racks are searched over dot tables whose rows are permutations (forced by
-the cancellation axioms); the companion table is derived, never searched,
-and the derived structure is re-verified against the full axiom set, so the
-enumerator's pruning and the axiom checker stay independent code paths.
+The searches build stacks of candidate tables, shape (m, n, n).  Rack dot
+tables have permutation rows (the cancellation axioms force that) and the
+diamond is derived from the dot; weak-rack candidates are the left (dot)
+and right (diamond) self-distributive tables, paired by the compatibility
+law.  Every candidate is then re-verified, a block at a time, through the
+laws the axiom checkers scan (structures._rack_laws, tables._holds): the
+pruning and the checker stay independent code paths.
 
-Counts are labeled (fixed carrier, no isomorphism reduction); isomorphism
-class counts are derived on the side via canonical relabeling since the
-published reference sequence for rack counts is the class count.
+Counts are labeled: racks on 1..4 points number 1, 2, 13, 114, weak racks
+on 1..3 points 1, 45, 13352.  The published reference sequence is the
+isomorphism class count, derived on the side (1, 2, 6, 19 and 1, 26, 2335).
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from .structures import (
     RACK,
     WEAK_RACK,
     Structure,
-    check_rack_axioms,
-    check_weak_rack_axioms,
+    _rack_laws,
+    _weak_rack_laws,
     max_carrier,
 )
-from .tables import OpTable, derive_diamond
+from .tables import _SLAB_CELLS, OpTable, _holds
 
 RACK_ENUM_CAP = 4
 WEAK_ENUM_CAP = 3
@@ -43,204 +46,159 @@ class EnumResult:
     structures: list[Structure] | None = None
 
 
-def _relabel_flat(table: list[list[int]], p, n: int) -> tuple:
-    relabeled = [[0] * n for _ in range(n)]
-    for a in range(n):
-        pa = p[a]
-        row = table[a]
-        out = relabeled[pa]
-        for b in range(n):
-            out[p[b]] = p[row[b]]
-    return tuple(v for row in relabeled for v in row)
+def _blocks(m: int, cells: int):
+    """Slices of range(m), at least one item each, for stacks of items that
+    cost `cells` gathered cells apiece: at most _SLAB_CELLS // 8 cells, so
+    that a block's int64 gather indices take at most _SLAB_CELLS bytes."""
+    step = max(1, _SLAB_CELLS // 8 // cells)
+    return (slice(i, i + step) for i in range(0, m, step))
 
 
-def _canonical_form(table: list[list[int]], n: int) -> tuple:
-    """Minimum relabeling of a dot table over all carrier permutations."""
-    return min(_relabel_flat(table, p, n)
-               for p in itertools.permutations(range(n)))
+def _canonical_keys(*stacks: np.ndarray) -> np.ndarray:
+    """Row i is the least relabeling of the tables (stacks[0][i],
+    stacks[1][i], ...), flattened and concatenated, over all carrier
+    permutations: two structures are isomorphic iff their rows are equal.
+
+    One gather per permutation relabels the whole block, and the rows are
+    compared lexicographically entry by entry, so the key stays exact where
+    a packed integer would overflow (n^(2n^2) >= 2^63 from n = 4).
+    """
+    t = np.stack(stacks, axis=1)
+    m, n = len(t), t.shape[-1]
+    rows = np.arange(m)
+    best = None
+    for p in itertools.permutations(range(n)):
+        p = np.array(p, dtype=t.dtype)
+        q = np.argsort(p)
+        # relabeled[p[a], p[b]] = p[table[a, b]]
+        key = p[t[:, :, q[:, None], q]].reshape(m, len(stacks) * n * n)
+        if best is None:
+            best = key
+            continue
+        first = (key != best).argmax(axis=1)
+        less = key[rows, first] < best[rows, first]
+        best[less] = key[less]
+    return best
 
 
-def _canonical_form_pair(dot, diamond, n: int) -> tuple:
-    """Joint minimum relabeling of a (dot, diamond) table pair."""
-    return min(_relabel_flat(dot, p, n) + _relabel_flat(diamond, p, n)
-               for p in itertools.permutations(range(n)))
+def _census(n: int, kind: str, blocks, keep: bool) -> EnumResult:
+    """Count, classify and, if kept, build the verified (dot, diamond)
+    stacks that `blocks` yields; racks are keyed by the dot table alone,
+    which determines the diamond."""
+    count = 0
+    iso: set[bytes] = set()
+    structures = [] if keep else None
+    for dots, diamonds in blocks:
+        count += len(dots)
+        tables = (dots,) if kind == RACK else (dots, diamonds)
+        iso.update(map(bytes, _canonical_keys(*tables)))
+        if keep:
+            structures += [Structure(n, OpTable(n, d), OpTable(n, e), kind)
+                           for d, e in zip(dots, diamonds)]
+    return EnumResult(n=n, count=count, iso_count=len(iso),
+                      structures=structures)
 
 
-def _rack_dots(n):
-    """Backtracking over rows that are permutations; each
-    left-distributivity constraint is checked as soon as the last row it
-    mentions is assigned."""
-    perms = list(itertools.permutations(range(n)))
+def _left_distributive_tables(n: int, permutation_rows: bool = False) -> np.ndarray:
+    """Every n x n table with a(bc) = (ab)(ac), optionally only those whose
+    rows are permutations, in lexicographic order.
+
+    Cell-by-cell backtracking in row-major order tests each instance
+    (a, b, c) once, as soon as the last cell it reads is filled: the cells
+    b.c, a.b and a.c are fixed by position, and once they are filled they
+    fix the two remaining cells, a.(bc) and (ab).(ac).
+    """
+    cells = n * n
+    table = [0] * cells
+    # instances by the last of their positional cells
+    fixed_at = [[] for _ in range(cells)]
+    for a, b, c in itertools.product(range(n), repeat=3):
+        fixed_at[max(b * n + c, a * n + b, a * n + c)].append(
+            (a * n, b * n + c, a * n + b, a * n + c))
+    # the two other cells of each instance whose last cell is still empty
+    waiting = [[] for _ in range(cells)]
     found = []
 
-    def consistent(rows):
-        r = len(rows) - 1
-        for a in range(r + 1):
-            row_a = rows[a]
-            for b in range(r + 1):
-                t = row_a[b]
-                if t > r:
-                    continue
-                if a != r and b != r and t != r:
-                    continue  # checked at an earlier depth
-                row_b = rows[b]
-                row_t = rows[t]
-                for c in range(n):
-                    if row_a[row_b[c]] != row_t[row_a[c]]:
-                        return False
-        return True
-
-    def extend(rows):
-        if len(rows) == n:
-            found.append([list(r) for r in rows])
+    def fill(pos: int):
+        if pos == cells:
+            found.append(list(table))
             return
-        for p in perms:
-            rows.append(p)
-            if consistent(rows):
-                extend(rows)
-            rows.pop()
+        for v in range(n):
+            if permutation_rows and v in table[pos - pos % n:pos]:
+                continue
+            table[pos] = v
+            if any(table[x] != table[y] for x, y in waiting[pos]):
+                continue
+            later = []
+            for row_a, bc, ab, ac in fixed_at[pos]:
+                x = row_a + table[bc]
+                y = table[ab] * n + table[ac]
+                if max(x, y) > pos:
+                    later.append((max(x, y), x, y))
+                elif table[x] != table[y]:
+                    break
+            else:
+                for last, x, y in later:
+                    waiting[last].append((x, y))
+                fill(pos + 1)
+                for last, _, _ in later:
+                    waiting[last].pop()
 
-    extend([])
-    return found
+    fill(0)
+    return np.array(found, dtype=np.min_scalar_type(n - 1)).reshape(-1, n, n)
 
 
 def enumerate_racks(n: int, keep: bool = False) -> EnumResult:
-    """All labeled racks on 0..n-1: dot rows range over permutations with
-    left self-distributivity pruned during search, diamond derived by row
-    inversion, and the remaining axiom re-verified on each candidate."""
+    """All labeled racks on 0..n-1, in lexicographic order of the dot:
+    dot rows range over permutations with left self-distributivity pruned
+    during search, diamond derived by row inversion, and the full axiom set
+    re-verified on each candidate."""
     cap = max_carrier(RACK_ENUM_CAP)
     if not 1 <= n <= cap:
         raise CarrierTooLarge(f"rack enumeration supports 1 <= n <= {cap}")
 
-    survivors = []
-    for dot_rows in _rack_dots(n):
-        dot = OpTable(n, np.asarray(dot_rows))
-        diamond = derive_diamond(dot)
-        s = Structure(n, dot, diamond, RACK)
-        if check_rack_axioms(s, max_witnesses=1).passed:
-            survivors.append(s)
+    def verified():
+        dots = _left_distributive_tables(n, permutation_rows=True)
+        # b <> a is the y with a . y = b: invert each row, then transpose
+        diamonds = np.argsort(dots, axis=2).astype(dots.dtype).swapaxes(1, 2)
+        for blk in _blocks(len(dots), n ** 3):
+            d, e = dots[blk], diamonds[blk]
+            ok = _holds(_rack_laws(d, e), n, len(d))
+            yield d[ok], e[ok]
 
-    iso = {_canonical_form(s.dot.tolist(), n) for s in survivors}
-    return EnumResult(
-        n=n,
-        count=len(survivors),
-        iso_count=len(iso),
-        structures=survivors if keep else None,
-    )
-
-
-def _self_distributive_tables(n: int, right: bool) -> list[tuple]:
-    """Cell-by-cell backtracking over all n x n tables, pruning on the
-    (left or right) self-distributivity axiom as soon as every cell a
-    constraint instance touches is filled."""
-    cells = [(a, b) for a in range(n) for b in range(n)]
-    table = [[-1] * n for _ in range(n)]
-    found = []
-
-    def value(a, b):
-        return table[a][b]
-
-    def check_partial() -> bool:
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if right:
-                        # (c<>b)<>a = (c<>a)<>(b<>a)
-                        cb = value(c, b)
-                        ca = value(c, a)
-                        ba = value(b, a)
-                        if cb < 0 or ca < 0 or ba < 0:
-                            continue
-                        lhs = value(cb, a)
-                        rhs = value(ca, ba)
-                    else:
-                        # a(bc) = (ab)(ac)
-                        bc = value(b, c)
-                        ab = value(a, b)
-                        ac = value(a, c)
-                        if bc < 0 or ab < 0 or ac < 0:
-                            continue
-                        lhs = value(a, bc)
-                        rhs = value(ab, ac)
-                    if lhs >= 0 and rhs >= 0 and lhs != rhs:
-                        return False
-        return True
-
-    def fill(idx: int):
-        if idx == len(cells):
-            found.append(tuple(v for row in table for v in row))
-            return
-        a, b = cells[idx]
-        for v in range(n):
-            table[a][b] = v
-            if check_partial():
-                fill(idx + 1)
-            table[a][b] = -1
-
-    fill(0)
-    return found
+    return _census(n, RACK, verified(), keep)
 
 
 def enumerate_weak_racks(n: int, keep: bool = False) -> EnumResult:
-    """All labeled weak racks (dot, diamond) on 0..n-1.
+    """All labeled weak racks (dot, diamond) on 0..n-1, in lexicographic
+    order of (dot, diamond).
 
-    For n <= 2 a plain exhaustive scan over every table pair; for larger
-    carriers dot candidates are pruned on left self-distributivity and
-    diamond candidates on right self-distributivity before the pairwise
-    compatibility scan.  Every counted pair is re-verified by the axiom
-    checker.
+    Dot candidates are pruned on left self-distributivity and diamond
+    candidates on right self-distributivity; the compatibility law filters
+    the pairs, and every pair it keeps is re-verified against the full
+    axiom set.
     """
     cap = max_carrier(WEAK_ENUM_CAP)
     if not 1 <= n <= cap:
         raise CarrierTooLarge(f"weak-rack enumeration supports 1 <= n <= {cap}")
 
-    if n <= 2:
-        all_tables = [tuple(t) for t in
-                      itertools.product(range(n), repeat=n * n)]
-        dot_candidates = all_tables
-        diamond_candidates = all_tables
-    else:
-        dot_candidates = _self_distributive_tables(n, right=False)
-        diamond_candidates = _self_distributive_tables(n, right=True)
+    def verified():
+        dots = _left_distributive_tables(n)
+        # the transposes are the right self-distributive tables
+        flat = dots.swapaxes(1, 2).reshape(len(dots), -1)
+        diamonds = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)
+        rows = np.arange(len(diamonds))[:, None, None]
+        x = np.arange(n)[:, None]
+        # a block's pairs are checked on all n^3 triples below
+        for blk in _blocks(len(dots), len(diamonds) * n ** 3):
+            d = dots[blk]
+            # (ab)<>a = a(b<>a) on every (dot, diamond) pair of the block
+            lhs = diamonds[rows, d[:, None], x]
+            rhs = d[np.arange(len(d))[:, None, None, None], x,
+                    diamonds.swapaxes(1, 2)]
+            i, j = np.nonzero((lhs == rhs).all(axis=(2, 3)))
+            d, e = d[i], diamonds[j]
+            ok = _holds(_weak_rack_laws(d, e), n, len(d))
+            yield d[ok], e[ok]
 
-    diamond_arrays = np.asarray(diamond_candidates, dtype=np.int64)
-    m = diamond_arrays.shape[0]
-    survivors: list[Structure] = []
-    iso: set[tuple] = set()
-    count = 0
-
-    for flat in dot_candidates:
-        d = np.asarray(flat, dtype=np.int64).reshape(n, n)
-        # weak compatibility (ab)<>a = a(b<>a) for all diamond
-        # candidates at once: per pair (a, b) compare gathered columns
-        ok = np.ones(m, dtype=bool)
-        for a in range(n):
-            row = d[a]
-            for b in range(n):
-                lhs = diamond_arrays[:, row[b] * n + a]
-                rhs = row[diamond_arrays[:, b * n + a]]
-                ok &= lhs == rhs
-                if not ok.any():
-                    break
-            if not ok.any():
-                break
-        for e_flat in diamond_arrays[ok]:
-            s = Structure(
-                n,
-                OpTable(n, d),
-                OpTable(n, e_flat.reshape(n, n)),
-                WEAK_RACK,
-            )
-            if check_weak_rack_axioms(s, max_witnesses=1).passed:
-                count += 1
-                iso.add(_canonical_form_pair(
-                    s.dot.tolist(), s.diamond.tolist(), n))
-                if keep:
-                    survivors.append(s)
-
-    return EnumResult(
-        n=n,
-        count=count,
-        iso_count=len(iso),
-        structures=survivors if keep else None,
-    )
+    return _census(n, WEAK_RACK, verified(), keep)

@@ -105,44 +105,48 @@ class Structure:
 
 def _left_distrib(d):
     """a(bc) = (ab)(ac); d stands for d[b, c]."""
-    d = _narrow(d, len(d))
+    d = _narrow(d, d.shape[-1])
     return lambda a, b, c: _at(d, a, d) != _at(d, _at(d, a, b), _at(d, a, c))
 
 
 def _right_distrib(e):
     """(c<>b)<>a = (c<>a)<>(b<>a) is a(bc) = (ab)(ac) for the operation
     a, c -> c<>a, with the same (a, b, c): one kernel, the same witnesses."""
-    return _left_distrib(e.T)
+    return _left_distrib(np.swapaxes(e, -1, -2))
 
 
 def _cancellation(d, e):
     """The two cancellation laws, (ab)<>a = b and a(b<>a) = b."""
-    return ((AX_CANCEL_OUT, 2, lambda a, b: e[d[a, b], a] != b),
-            (AX_CANCEL_IN, 2, lambda a, b: d[a, e[b, a]] != b))
+    return ((AX_CANCEL_OUT, 2, lambda a, b: _at(e, _at(d, a, b), a) != b),
+            (AX_CANCEL_IN, 2, lambda a, b: _at(d, a, _at(e, b, a)) != b))
+
+
+def _rack_laws(d, e):
+    """The four rack axioms as (name, arity, law) on a dot table d and a
+    diamond table e, or on stacks of them (see tables._holds)."""
+    return ((AX_LEFT_DISTRIB, 3, _left_distrib(d)),
+            *_cancellation(d, e),
+            (AX_RIGHT_DISTRIB, 3, _right_distrib(e)))
+
+
+def _weak_rack_laws(d, e):
+    """The three weak-rack axioms, as _rack_laws gives the rack axioms."""
+    return ((AX_LEFT_DISTRIB, 3, _left_distrib(d)),
+            (AX_WEAK_COMPAT, 2,
+             lambda a, b: _at(e, _at(d, a, b), a) != _at(d, a, _at(e, b, a))),
+            (AX_RIGHT_DISTRIB, 3, _right_distrib(e)))
 
 
 def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustively test the four full-rack axioms (triple axioms over all
     n^3 triples, cancellation axioms over all n^2 pairs)."""
-    d = s.dot.entries
-    e = s.diamond.entries
-    laws = (
-        (AX_LEFT_DISTRIB, 3, _left_distrib(d)),
-        *_cancellation(d, e),
-        (AX_RIGHT_DISTRIB, 3, _right_distrib(e)),
-    )
+    laws = _rack_laws(s.dot.entries, s.diamond.entries)
     return _report(laws, s.n, max_witnesses)
 
 
 def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustively test the three weak-rack axioms."""
-    d = s.dot.entries
-    e = s.diamond.entries
-    laws = (
-        (AX_LEFT_DISTRIB, 3, _left_distrib(d)),
-        (AX_WEAK_COMPAT, 2, lambda a, b: e[d[a, b], a] != d[a, e[b, a]]),
-        (AX_RIGHT_DISTRIB, 3, _right_distrib(e)),
-    )
+    laws = _weak_rack_laws(s.dot.entries, s.diamond.entries)
     return _report(laws, s.n, max_witnesses)
 
 

@@ -56,14 +56,22 @@ def _narrow(t: np.ndarray, n: int) -> np.ndarray:
 def _at(t: np.ndarray, i, j) -> np.ndarray:
     """t[i, j] for a table t from _narrow and index grids i, j.
 
-    A table _narrow left in int64 is indexed as it is; its scans never
-    walk, so i is a grid.  On a narrowed t a plain int i (the walked first
-    variable) gathers from the row view, and grids gather from the flat
-    view at i * n + j, which numpy runs as one take where t[i, j] is a
-    two-array gather.  i * n + j cannot overflow even when i and j are
-    themselves narrowed gathers: every value is below n, so the flat
-    index is at most n*n - 1, which the dtype holds by construction.
+    A stack of tables, shape (m, n, n), gathers each structure from its own
+    table: structure s owns rows s*n .. s*n + n-1 of the stack's rows, and
+    s runs along the batch axis of _holds's grids.  A table _narrow left in
+    int64 is indexed as it is; its scans never walk, so i is a grid.  On a
+    narrowed t a plain int i (the walked first variable) gathers from the
+    row view, and grids gather from the flat view at i * n + j, which numpy
+    runs as one take where t[i, j] is a two-array gather.  i * n + j cannot
+    overflow even when i and j are themselves narrowed gathers: every value
+    is below n, so the flat index is at most n*n - 1, which the dtype holds
+    by construction.
     """
+    if t.ndim == 3:
+        m, n = len(t), t.shape[-1]
+        trailing = max(np.ndim(i), np.ndim(j)) - 2  # grid axes after the batch axis
+        s = np.arange(0, m * n, n).reshape(m, *[1] * trailing)
+        return t.ravel().take((s + i) * n + j)
     if t.itemsize == 8:
         return t[i, j]
     if type(i) is int:
@@ -99,6 +107,23 @@ def _scan(law, n: int, k: int, cap: int) -> list[tuple[int, ...]]:
         if len(found) >= cap:
             break
     return found
+
+
+def _holds(laws, n: int, m: int) -> np.ndarray:
+    """Per structure of a stack of m, whether every (name, arity, law) holds.
+
+    The laws are those _scan takes, built on tables stacked as (m, n, n).
+    Their grids get the batch axis second, right after the first variable,
+    so that a stack stands for the subterm over the trailing variables as
+    one table does in _scan; _at gathers each structure from its own table.
+    A law is evaluated on the whole stack at once, so callers bound m * n^k.
+    """
+    ok = np.ones(m, dtype=bool)
+    for _, k, law in laws:
+        bad = np.broadcast_to(law(*(g[:, None] for g in _grids(n, k))),
+                              (n, m) + (n,) * (k - 1))
+        ok &= ~bad.any(axis=(0, *range(2, k + 1)))
+    return ok
 
 
 @dataclass(frozen=True, eq=False)

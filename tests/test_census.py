@@ -1,9 +1,16 @@
+import functools
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import census
+from rackwork.structures import _rack_laws, _weak_rack_laws
+from rackwork.tables import _holds
 
 
 def brute_force_rack_dots(n):
@@ -33,6 +40,30 @@ def brute_force_weak_count(n):
             if rw.check_weak_rack_axioms(s).passed:
                 count += 1
     return count
+
+
+def relabel_flat(table, p, n):
+    """The flat table of the structure carried along p: a.b -> p[a].p[b]."""
+    out = [0] * (n * n)
+    for a in range(n):
+        for b in range(n):
+            out[p[a] * n + p[b]] = p[table[a * n + b]]
+    return out
+
+
+def canonical_form(tables, n):
+    """Least relabeling of the flat tables, concatenated, over all carrier
+    permutations: a pure-Python oracle for census._canonical_keys."""
+    return min(tuple(v for t in tables for v in relabel_flat(t, p, n))
+               for p in itertools.permutations(range(n)))
+
+
+def flat(t):
+    return [v for row in t.tolist() for v in row]
+
+
+def stack(tables, n):
+    return np.asarray(tables, dtype=np.uint8).reshape(-1, n, n)
 
 
 class TestRackEnumeration:
@@ -122,6 +153,23 @@ class TestWeakRackEnumeration:
         res = rw.enumerate_weak_racks(3)
         assert res.count == 13352
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_left_distributive_tables_match_unpruned_oracle(self, n):
+        every = [list(t) for t in itertools.product(range(n), repeat=n * n)]
+        distributive = [t for t in every if all(
+            t[a * n + t[b * n + c]] == t[t[a * n + b] * n + t[a * n + c]]
+            for a in range(n) for b in range(n) for c in range(n))]
+        got = census._left_distributive_tables(n).reshape(-1, n * n).tolist()
+        assert got == distributive
+
+    def test_kept_weak_structures_in_lex_order(self):
+        for n in (2, 3):
+            res = rw.enumerate_weak_racks(n, keep=True)
+            pairs = [(flat(s.dot), flat(s.diamond)) for s in res.structures]
+            assert len(pairs) == res.count
+            assert pairs == sorted(pairs)
+            assert {s.kind for s in res.structures} == {rw.WEAK_RACK}
+
     def test_every_kept_weak_structure_verifies(self):
         res = rw.enumerate_weak_racks(2, keep=True)
         for s in res.structures:
@@ -160,6 +208,108 @@ class TestCanonicalForms:
 
     def test_constant_racks_collapse(self):
         # two 3-cycle constant racks on 3 elements are isomorphic
-        a = census._canonical_form([[1, 2, 0]] * 3, 3)
-        b = census._canonical_form([[2, 0, 1]] * 3, 3)
-        assert a == b
+        a, b = census._canonical_keys(stack([[[1, 2, 0]] * 3, [[2, 0, 1]] * 3], 3))
+        assert a.tolist() == b.tolist()
+
+    def test_keys_of_an_empty_block(self):
+        empty = stack([], 3)
+        assert census._canonical_keys(empty, empty).shape == (0, 18)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rack_iso_counts_match_relabeling_oracle(self, n):
+        res = rw.enumerate_racks(n, keep=True)
+        forms = {canonical_form([flat(s.dot)], n) for s in res.structures}
+        assert len(forms) == res.iso_count
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_weak_iso_counts_match_relabeling_oracle(self, n):
+        res = rw.enumerate_weak_racks(n, keep=True)
+        forms = {canonical_form([flat(s.dot), flat(s.diamond)], n)
+                 for s in res.structures}
+        assert len(forms) == res.iso_count
+
+    @pytest.mark.parametrize("n,classes", [(1, 1), (2, 26), (3, 2335)])
+    def test_weak_class_counts(self, n, classes):
+        assert rw.enumerate_weak_racks(n).iso_count == classes
+
+    def test_keys_exact_where_packed_int64_keys_overflow(self):
+        """On 6 points a pair has 72 entries, and 6^k = 0 mod 2^64 for
+        k >= 64: pairs whose least relabelings differ only in their first 8
+        entries pack to the same wrapped 64-bit integer."""
+        n = 6
+        rng = random.Random(6)
+        d, e = ([rng.randrange(n) for _ in range(n * n)] for _ in range(2))
+        p = rng.sample(range(n), n)
+        form = list(canonical_form([d, e], n))
+        # a non-isomorphic pair: a least relabeling that differs from
+        # form in one of its first 8 entries
+        other = next(c for c in (form[:i] + [v] + form[i + 1:]
+                                 for i in range(8) for v in range(n))
+                     if canonical_form([c[:36], c[36:]], n) == tuple(c)
+                     and c != form)
+
+        def packed(key):
+            return sum(v * n ** (len(key) - 1 - i)
+                       for i, v in enumerate(key)) % 2 ** 64
+
+        assert packed(form) == packed(other)
+        pairs = [(d, e), (relabel_flat(d, p, n), relabel_flat(e, p, n)),
+                 (other[:36], other[36:])]
+        keys = census._canonical_keys(stack([x for x, _ in pairs], n),
+                                      stack([y for _, y in pairs], n))
+        assert keys.dtype == np.uint8
+        assert keys[0].tolist() == keys[1].tolist() == form
+        assert keys[2].tolist() == other
+
+
+# per carrier size, structures whose verdicts are known to differ: racks from
+# the census, and Boolean weak racks, which are not racks for n > 1
+@functools.lru_cache(maxsize=None)
+def _known(n):
+    known = [(s.dot.tolist(), s.diamond.tolist())
+             for s in rw.enumerate_racks(n, keep=True).structures]
+    if n in (1, 2, 4):
+        k = n.bit_length() - 1
+        known += [(s.dot.tolist(), s.diamond.tolist()) for s in
+                  (rw.boolean_weak_rack_implication(k),
+                   rw.boolean_weak_rack_lattice(k))]
+    return known
+
+
+@st.composite
+def table_pair_stacks(draw):
+    """A stack of (dot, diamond) pairs on n <= 4 points: mostly random
+    tables, which nearly always fail, mixed with known structures and
+    known structures with one entry changed."""
+    n = draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    known = _known(n)
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("random", "random", "known", "mutated")))
+        if kind == "random":
+            pairs.append((draw(cells), draw(cells)))
+            continue
+        d, e = (flat(np.asarray(t)) for t in draw(st.sampled_from(known)))
+        if kind == "mutated":
+            t = draw(st.sampled_from((d, e)))
+            t[draw(st.integers(0, n * n - 1))] = draw(st.integers(0, n - 1))
+        pairs.append((d, e))
+    return n, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_pair_stacks())
+def test_stacked_verdicts_match_the_axiom_checkers(case):
+    n, pairs = case
+    structures = [rw.make_structure(rw.make_op_table(n, d), rw.make_op_table(n, e))
+                  for d, e in pairs]
+    for laws, check in ((_rack_laws, rw.check_rack_axioms),
+                        (_weak_rack_laws, rw.check_weak_rack_axioms)):
+        expected = [check(s).passed for s in structures]
+        d = stack([d for d, _ in pairs], n)
+        e = stack([e for _, e in pairs], n)
+        assert _holds(laws(d, e), n, len(pairs)).tolist() == expected
+        # each structure as a batch of one
+        assert [bool(_holds(laws(d[i:i + 1], e[i:i + 1]), n, 1)[0])
+                for i in range(len(pairs))] == expected
