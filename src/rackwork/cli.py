@@ -14,27 +14,7 @@ import os
 import sys
 
 from . import census, euler, fileio, matseries, structures, trig, ybe
-from .errors import (
-    CarrierMismatch,
-    CarrierTooLarge,
-    DeterminantNotOne,
-    IndexOutOfRange,
-    InvalidFile,
-    KindMismatch,
-    LevelTooLarge,
-    NoIdentity,
-    NoInverse,
-    NotAssociative,
-    NotLeftInvertible,
-    RackworkError,
-    SizeMismatch,
-)
-
-_USAGE_ERRORS = (
-    InvalidFile, CarrierTooLarge, SizeMismatch, IndexOutOfRange,
-    LevelTooLarge, NotAssociative, NoIdentity, NoInverse,
-    NotLeftInvertible, CarrierMismatch,
-)
+from .errors import DeterminantNotOne, InvalidFile, KindMismatch, RackworkError
 
 
 class Report:
@@ -191,19 +171,19 @@ def cmd_check(args) -> int:
 
 
 def _context_from_args(args):
+    """The trig context of the structure file, and the command's report
+    headed by the kind and the base points e, o, pi, u."""
     loaded = fileio.load_structure(args.file)
     ctx = trig.make_trig_context(loaded.structure, args.e, args.o)
-    return loaded, ctx
+    report = Report(args.command, args.json, args.all_witnesses, loaded.labels)
+    report.set("kind", ctx.s.kind)
+    for key in ("e", "o", "pi", "u"):
+        report.set(key, report.elem(getattr(ctx, key)))
+    return ctx, report
 
 
 def cmd_trig(args) -> int:
-    loaded, ctx = _context_from_args(args)
-    report = Report("trig", args.json, args.all_witnesses, loaded.labels)
-    report.set("kind", ctx.s.kind)
-    report.set("e", report.elem(ctx.e))
-    report.set("o", report.elem(ctx.o))
-    report.set("pi", report.elem(ctx.pi))
-    report.set("u", report.elem(ctx.u))
+    ctx, report = _context_from_args(args)
     trep = trig.check_trig_properties(ctx)
     for prop in trep.main:
         report.add(prop.name, prop.passed, prop.witnesses)
@@ -214,14 +194,7 @@ def cmd_trig(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    loaded, ctx = _context_from_args(args)
-    report = Report("euler", args.json, args.all_witnesses, loaded.labels)
-    report.set("kind", ctx.s.kind)
-    report.set("e", report.elem(ctx.e))
-    report.set("o", report.elem(ctx.o))
-    report.set("pi", report.elem(ctx.pi))
-    report.set("u", report.elem(ctx.u))
-
+    ctx, report = _context_from_args(args)
     erep = euler.check_euler_formula(ctx)
     clauses = {euler.EULER_FORMULA: [], euler.EULER_IDENTITY: []}
     for name, w in erep.failures:
@@ -308,19 +281,18 @@ def cmd_mat(args) -> int:
     report.add("det(A) = 1", True)
 
     result = matseries.trace_product_sum(a, args.n, with_oracle=args.brute)
-    power = matseries.mat_pow(a, result.power_exponent)
     report.set("factors", [str(f) for f in result.factors])
     report.set("scalar", str(result.scalar))
     report.set("power_exponent", result.power_exponent)
-    report.set("power_matrix", _fmt_mat(power)
-               if not args.json else _mat_json(power))
+    report.set("power_matrix", _fmt_mat(result.power)
+               if not args.json else _mat_json(result.power))
     report.set("closed_form", _fmt_mat(result.closed_form)
                if not args.json else _mat_json(result.closed_form))
     # sum = scalar * power_matrix; the determinant of the power pins every
     # entry of a printed copy, so a transcription off by one is detectable
     report.add(f"det(A^{result.power_exponent}) = 1 "
                "(unimodularity consistency for the power matrix)",
-               matseries.det(power) == 1)
+               matseries.det(result.power) == 1)
     if args.brute:
         if result.oracle is None:
             report.note(f"brute oracle unavailable for levels above "
@@ -462,10 +434,7 @@ def main(argv=None) -> int:
     except KindMismatch as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RackworkError as exc:  # safety net for anything uncategorized
+    except RackworkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

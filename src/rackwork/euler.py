@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .structures import WEAK_RACK, WITNESS_CAP, AxiomReport, Structure
-from .tables import _scan
+from .structures import WEAK_RACK, WITNESS_CAP, AxiomReport, Structure, _hom
+from .tables import _grids, _narrow, _scan
 from .trig import TrigContext
 
 # clause identifiers for check_euler_formula
@@ -62,38 +62,31 @@ class PairMap:
 
 
 def pair_map_from_components(c1: np.ndarray, c2: np.ndarray) -> PairMap:
-    """Assemble a PairMap from two (n, n) output-coordinate tables."""
-    n = c1.shape[0]
-    out = np.stack([np.broadcast_to(c1, (n, n)).reshape(-1),
-                    np.broadcast_to(c2, (n, n)).reshape(-1)], axis=1)
-    return PairMap(n, out)
+    """Assemble a PairMap from two output-coordinate tables indexed [x, y]:
+    (n, n) tables, or a column or a row that broadcasts to one."""
+    out = np.empty(np.broadcast(c1, c2).shape + (2,), dtype=np.int64)
+    out[..., 0] = c1
+    out[..., 1] = c2
+    return PairMap(len(out), out.reshape(-1, 2))
 
 
 def identity_pair_map(n: int) -> PairMap:
-    x = np.arange(n)[:, None]
-    y = np.arange(n)[None, :]
-    return pair_map_from_components(np.broadcast_to(x, (n, n)),
-                                    np.broadcast_to(y, (n, n)))
+    return pair_map_from_components(np.arange(n)[:, None], np.arange(n)[None, :])
 
 
 def compose(f: PairMap, g: PairMap) -> PairMap:
     """Pointwise composition f(g(x, y))."""
     if f.n != g.n:
         raise IndexOutOfRange("cannot compose pair maps on different carriers")
-    n = f.n
-    g1, g2 = g.components()
-    out = f.out[g1.reshape(-1) * n + g2.reshape(-1)]
-    return PairMap(n, out)
+    return PairMap(f.n, f.out.take(g.out[:, 0] * f.n + g.out[:, 1], axis=0))
 
 
 def exp_map(s: Structure, a: int) -> PairMap:
     """exp_a(x, y) = (a.x, y<>a)."""
     if not 0 <= a < s.n:
         raise IndexOutOfRange(f"{a} outside carrier {s.n}")
-    n = s.n
-    c1 = np.broadcast_to(s.dot.entries[a][:, None], (n, n))      # a.x
-    c2 = np.broadcast_to(s.diamond.entries[:, a][None, :], (n, n))  # y<>a
-    return pair_map_from_components(c1, c2)
+    return pair_map_from_components(s.dot.entries[a][:, None],       # a.x
+                                    s.diamond.entries[:, a][None, :])  # y<>a
 
 
 def box_apply(s: Structure, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
@@ -108,34 +101,21 @@ def box_apply(s: Structure, p: tuple[int, int], q: tuple[int, int]) -> tuple[int
 
 def cosh_map(ctx: TrigContext) -> PairMap:
     """cosh(x, y) = (e.x, y)."""
-    n = ctx.s.n
-    c1 = np.broadcast_to(ctx.s.dot.entries[ctx.e][:, None], (n, n))
-    c2 = np.broadcast_to(np.arange(n)[None, :], (n, n))
-    return pair_map_from_components(c1, c2)
+    return pair_map_from_components(ctx.s.dot.entries[ctx.e][:, None],
+                                    np.arange(ctx.s.n)[None, :])
 
 
 def sinh_map(ctx: TrigContext) -> PairMap:
     """sinh(x, y) = (x, y<>e)."""
-    n = ctx.s.n
-    c1 = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    c2 = np.broadcast_to(ctx.s.diamond.entries[:, ctx.e][None, :], (n, n))
-    return pair_map_from_components(c1, c2)
+    return pair_map_from_components(np.arange(ctx.s.n)[:, None],
+                                    ctx.s.diamond.entries[:, ctx.e][None, :])
 
 
 def check_hyperbolic_factorization(ctx: TrigContext) -> bool:
-    """Exact table equality exp_e = cosh o sinh = sinh o cosh.
-
-    The compositions are genuine table compositions (gathers), evaluated on
-    raw arrays to keep the check cheap on large carriers.
-    """
-    s = ctx.s
-    n = s.n
-    ex = exp_map(s, ctx.e).out
-    ch = cosh_map(ctx).out
-    sh = sinh_map(ctx).out
-    ch_sh = ch[sh[:, 0] * n + sh[:, 1]]
-    sh_ch = sh[ch[:, 0] * n + ch[:, 1]]
-    return bool(np.array_equal(ch_sh, ex) and np.array_equal(sh_ch, ex))
+    """Exact table equality exp_e = cosh o sinh = sinh o cosh."""
+    ex = exp_map(ctx.s, ctx.e)
+    ch, sh = cosh_map(ctx), sinh_map(ctx)
+    return compose(ch, sh) == ex and compose(sh, ch) == ex
 
 
 def check_exp_homomorphism(s: Structure, a: int,
@@ -148,15 +128,16 @@ def check_exp_homomorphism(s: Structure, a: int,
     """
     if not 0 <= a < s.n:
         raise IndexOutOfRange(f"{a} outside carrier {s.n}")
-    d = s.dot.entries
-    e = s.diamond.entries
-    ea = d[a]          # x -> a.x
-    sa = e[:, a]       # y -> y<>a
+    d, e = _narrow(s.dot.entries), _narrow(s.diamond.entries)
+    ea = s.dot.entries[a]          # x -> a.x
+    sa = s.diamond.entries[:, a]   # y -> y<>a
     name = "exp_a((x,y)(u,v)) = exp_a(x,y) exp_a(u,v)"
 
-    # bad1[x, u]: a.(xu) vs (a.x)(a.u); bad2[y, v]: (v<>y)<>a vs (v<>a)<>(y<>a)
-    bad1 = ea[d] != d[ea[:, None], ea[None, :]]
-    bad2 = sa[e.T] != e[sa[None, :], sa[:, None]]
+    # bad1[x, u]: a.(xu) vs (a.x)(a.u); bad2[y, v]: (v<>y)<>a vs
+    # (v<>a)<>(y<>a), the diamond law of sa at (v, y)
+    grids = _grids(s.n, 2)
+    bad1 = _hom(ea, d, d)(*grids)
+    bad2 = _hom(sa, e, e)(*grids).T
 
     # (x, y) fails somewhere iff row x of bad1 or row y of bad2 does; walk
     # those pairs in lex order and list their failing (u, v) in lex order

@@ -13,8 +13,9 @@ an equality of values, not an approximation.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, LevelTooLarge, SizeMismatch
@@ -115,17 +116,23 @@ class SumResult:
     """Closed form for sum_{k=1}^{3^n} A^k with its trace factors.
 
     factors[j] = tr(A^(3^j)) + 1 for j = 0..n-1; power_exponent is
-    (3^n + 1)/2; oracle, when requested and within range, is the
-    brute-force sum over all 3^n terms.
+    (3^n + 1)/2 and power is A^power_exponent; closed_form is scalar *
+    power; oracle, when requested and within range, is the brute-force sum
+    over all 3^n terms.
     """
 
     n: int
     factors: tuple[Fraction, ...]
     power_exponent: int
-    closed_form: Mat2Q
+    power: Mat2Q
     oracle: Mat2Q | None = None
+    closed_form: Mat2Q = field(init=False)
 
-    @property
+    def __post_init__(self):
+        object.__setattr__(self, "closed_form",
+                           mat_scale(self.scalar, self.power))
+
+    @functools.cached_property
     def scalar(self) -> Fraction:
         out = Fraction(1)
         for f in self.factors:
@@ -162,12 +169,6 @@ def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False,
         power = mat_mul(mat_mul(power, power), power)
 
     exponent = (3 ** n + 1) // 2
-    closed = mat_pow(a, exponent)
-    scalar = Fraction(1)
-    for f in factors:
-        scalar *= f
-    closed = mat_scale(scalar, closed)
-
     oracle = None
     if with_oracle and n <= ORACLE_MAX_LEVEL:
         oracle = brute_sum(a, 3 ** n)
@@ -176,7 +177,7 @@ def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False,
         n=n,
         factors=tuple(factors),
         power_exponent=exponent,
-        closed_form=closed,
+        power=mat_pow(a, exponent),
         oracle=oracle,
     )
 

@@ -104,15 +104,14 @@ class Structure:
 
 
 def _left_distrib(d):
-    """a(bc) = (ab)(ac); d stands for d[b, c]."""
-    d = _narrow(d, d.shape[-1])
+    """a(bc) = (ab)(ac); d, narrowed, stands for d[b, c]."""
     return lambda a, b, c: _at(d, a, d) != _at(d, _at(d, a, b), _at(d, a, c))
 
 
 def _right_distrib(e):
     """(c<>b)<>a = (c<>a)<>(b<>a) is a(bc) = (ab)(ac) for the operation
     a, c -> c<>a, with the same (a, b, c): one kernel, the same witnesses."""
-    return _left_distrib(np.swapaxes(e, -1, -2))
+    return _left_distrib(_narrow(np.swapaxes(e, -1, -2)))
 
 
 def _cancellation(d, e):
@@ -124,6 +123,7 @@ def _cancellation(d, e):
 def _rack_laws(d, e):
     """The four rack axioms as (name, arity, law) on a dot table d and a
     diamond table e, or on stacks of them (see tables._holds)."""
+    d, e = _narrow(d), _narrow(e)
     return ((AX_LEFT_DISTRIB, 3, _left_distrib(d)),
             *_cancellation(d, e),
             (AX_RIGHT_DISTRIB, 3, _right_distrib(e)))
@@ -131,10 +131,17 @@ def _rack_laws(d, e):
 
 def _weak_rack_laws(d, e):
     """The three weak-rack axioms, as _rack_laws gives the rack axioms."""
+    d, e = _narrow(d), _narrow(e)
     return ((AX_LEFT_DISTRIB, 3, _left_distrib(d)),
             (AX_WEAK_COMPAT, 2,
              lambda a, b: _at(e, _at(d, a, b), a) != _at(d, a, _at(e, b, a))),
             (AX_RIGHT_DISTRIB, 3, _right_distrib(e)))
+
+
+def _hom(f, t1, t2):
+    """f(a t1 b) = f(a) t2 f(b) for an int64 map f and narrowed tables t1
+    on its domain and t2 on its codomain."""
+    return lambda a, b: f[_at(t1, a, b)] != _at(t2, f[a], f[b])
 
 
 def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
@@ -161,7 +168,8 @@ def classify(s: Structure) -> tuple[str, AxiomReport]:
     weak = check_weak_rack_axioms(s)
     if not weak.passed:
         return "neither", weak
-    cancel = _report(_cancellation(s.dot.entries, s.diamond.entries), s.n, 1)
+    laws = _cancellation(_narrow(s.dot.entries), _narrow(s.diamond.entries))
+    cancel = _report(laws, s.n, 1)
     return (RACK if cancel.passed else WEAK_RACK), weak
 
 
@@ -287,13 +295,11 @@ def check_morphism(f, s1: Structure, s2: Structure,
         raise SizeMismatch(f"map must list {s1.n} images, got shape {F.shape}")
     if F.size and (F.min() < 0 or F.max() >= s2.n):
         raise IndexOutOfRange("map image out of range for the target carrier")
-    d1, e1 = s1.dot.entries, s1.diamond.entries
-    d2, e2 = s2.dot.entries, s2.diamond.entries
     laws = (
         ("f(ab) = f(a)f(b)", 2,
-         lambda a, b: F[d1[a, b]] != d2[F[a], F[b]]),
+         _hom(F, _narrow(s1.dot.entries), _narrow(s2.dot.entries))),
         ("f(a diamond b) = f(a) diamond f(b)", 2,
-         lambda a, b: F[e1[a, b]] != e2[F[a], F[b]]),
+         _hom(F, _narrow(s1.diamond.entries), _narrow(s2.diamond.entries))),
     )
     return _report(laws, s1.n, max_witnesses)
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, KindMismatch
-from .structures import RACK, WEAK_RACK, WITNESS_CAP, Structure, _from_arrays
-from .tables import _scan
+from .structures import (
+    RACK, WEAK_RACK, WITNESS_CAP, Structure, _from_arrays, _hom,
+)
+from .tables import _narrow, _scan
 
 # property identifiers, used verbatim in reports
 P_COS_PI = "cos(pi) = u"
@@ -124,10 +126,9 @@ def check_trig_properties(ctx: TrigContext,
     carrier, homomorphism laws over all pairs)."""
     s = ctx.s
     n = s.n
-    d = s.dot.entries
-    e = s.diamond.entries
-    cos = d[ctx.e]            # cos[x] = e.x
-    sin = e[:, ctx.e]         # sin[x] = x<>e
+    cos = s.dot.entries[ctx.e]            # cos[x] = e.x
+    sin = s.diamond.entries[:, ctx.e]     # sin[x] = x<>e
+    d, e = _narrow(s.dot.entries), _narrow(s.diamond.entries)
     weak = s.kind == WEAK_RACK
 
     checks: list[PropertyCheck] = []
@@ -147,8 +148,7 @@ def check_trig_properties(ctx: TrigContext,
         [] if sin[ctx.pi] == ctx.o else [(ctx.pi, int(sin[ctx.pi]))])
     for name, f, t in ((P_COS_DOT, cos, d), (P_COS_DIAMOND, cos, e),
                        (P_SIN_DOT, sin, d), (P_SIN_DIAMOND, sin, e)):
-        add(name, _scan(lambda x, y: f[t[x, y]] != t[f[x], f[y]],
-                        n, 2, max_witnesses))
+        add(name, _scan(_hom(f, t, t), n, 2, max_witnesses))
     add(P_SIN_COS, _scan(lambda x: sin[cos[x]] != x, n, 1, max_witnesses))
     add(P_COS_SIN, _scan(lambda x: cos[sin[x]] != x, n, 1, max_witnesses))
     add(P_EXCHANGE, _scan(lambda x: sin[cos[x]] != cos[sin[x]],

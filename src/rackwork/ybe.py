@@ -64,7 +64,7 @@ def _apply_lift(comps, positions, state):
 
 def _components(f: PairMap):
     """f's output coordinates as law-scan tables (see tables._narrow)."""
-    return tuple(_narrow(c, f.n) for c in f.components())
+    return tuple(map(_narrow, f.components()))
 
 
 def _run_word(word, state):
@@ -93,16 +93,12 @@ def check_qybe(f: PairMap, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
 
 def w_map(s: Structure) -> PairMap:
     """W(x, y) = (x, x.y), the left-translation solution."""
-    n = s.n
-    c1 = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    return pair_map_from_components(c1, s.dot.entries)
+    return pair_map_from_components(np.arange(s.n)[:, None], s.dot.entries)
 
 
 def z_map(s: Structure) -> PairMap:
     """Z(x, y) = (x<>y, y), the companion-operation solution."""
-    n = s.n
-    c2 = np.broadcast_to(np.arange(n)[None, :], (n, n))
-    return pair_map_from_components(s.diamond.entries, c2)
+    return pair_map_from_components(s.diamond.entries, np.arange(s.n)[None, :])
 
 
 def check_mixed(a: PairMap, b: PairMap, partner_position: int = 12,

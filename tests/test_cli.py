@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import rackwork as rw
-from rackwork import fileio
+from rackwork import cli, fileio, matseries
 from rackwork.cli import main
 
 
@@ -335,6 +335,25 @@ class TestMat:
         assert doc["data"]["power_matrix"] == [["153", "-418"],
                                                ["-209", "571"]]
 
+    @pytest.mark.parametrize("level", [2, 5])
+    def test_power_matrix_computed_once(self, capsys, monkeypatch, level):
+        a = rw.mat2(1, -2, -1, 3)
+        power = rw.mat_pow(a, (3 ** level + 1) // 2)
+        calls = []
+        real_mat_pow = matseries.mat_pow
+
+        def spy(x, k):
+            calls.append(k)
+            return real_mat_pow(x, k)
+
+        monkeypatch.setattr(matseries, "mat_pow", spy)
+        code, text, _ = run(capsys, "mat", "--a", "1,-2,-1,3",
+                            "--n", str(level), "--json")
+        assert code == 0
+        assert calls == [(3 ** level + 1) // 2]
+        assert json.loads(text)["data"]["power_matrix"] == [
+            [str(power.a), str(power.b)], [str(power.c), str(power.d)]]
+
 
 class TestEnum:
     def test_counts(self, capsys):
@@ -373,6 +392,21 @@ class TestEnum:
 class TestCliPlumbing:
     def test_unknown_command_is_exit_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("exc", [
+        rw.InvalidFile("bad file"), rw.CarrierTooLarge("carrier too large"),
+        rw.SizeMismatch("wrong size"), rw.IndexOutOfRange("out of range"),
+        rw.LevelTooLarge("level too large"), rw.NotAssociative(1, 1, 2),
+        rw.NoIdentity("no identity"), rw.NoInverse(3),
+        rw.NotLeftInvertible("row 0"), rw.CarrierMismatch("carriers differ"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_library_errors_are_exit_2(self, capsys, monkeypatch, exc):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        code, out, err = run(capsys, "check", "structure.json")
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
 
     def test_missing_args_is_exit_2(self, capsys):
         assert run(capsys, "mat", "--n", "1")[0] == 2

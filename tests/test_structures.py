@@ -85,17 +85,16 @@ class TestWeakRackAxioms:
 
 
 def both_walks(monkeypatch, check, narrowed=None):
-    """check() under the single-call int64 scan, then under the per-value
-    walk that carriers above the slab size take, where the triple-law
-    kernels gather from narrowed tables.  A list passed as `narrowed`
+    """check() scanned in one call per law, then under the per-value walk
+    that carriers above the slab size take.  A list passed as `narrowed`
     collects the dtypes the walk narrowed tables to."""
     from rackwork import structures, tables, ybe
     whole = check()
     monkeypatch.setattr(tables, "_SLAB_CELLS", 1)
     real_narrow = tables._narrow
 
-    def spy(t, n):
-        out = real_narrow(t, n)
+    def spy(t):
+        out = real_narrow(t)
         if narrowed is not None:
             narrowed.append(out.dtype)
         return out

@@ -142,11 +142,12 @@ def test_op_table_equality():
 
 
 def test_narrow_dtype_by_carrier():
-    small = np.zeros((64, 64), dtype=np.int64)
-    assert _narrow(small, 64) is small  # scanned whole, in int64
-    assert _narrow(np.zeros((65, 65), dtype=np.int64), 65).dtype == np.uint16
-    assert _narrow(np.zeros((256, 256), dtype=np.int64), 256).dtype == np.uint16
-    assert _narrow(np.zeros((257, 257), dtype=np.int64), 257).dtype == np.uint32
+    for n, dtype in ((1, np.uint8), (16, np.uint8), (17, np.uint16),
+                     (64, np.uint16), (65, np.uint16), (256, np.uint16),
+                     (257, np.uint32)):
+        t = _narrow(np.zeros((n, n), dtype=np.int64))
+        assert t.dtype == dtype, n
+        assert not t.flags.writeable and t.flags.c_contiguous, n
 
 
 @pytest.mark.parametrize("n", [256, 257])
@@ -154,7 +155,7 @@ def test_narrow_flat_gather_matches_fancy_indexing(n):
     rng = np.random.default_rng(n)
     t = rng.integers(0, n, (n, n))
     t[0, n - 1] = t[n - 1, 0] = t[n - 1, n - 1] = n - 1
-    nt = _narrow(t, n)
+    nt = _narrow(t)
     assert not nt.flags.writeable and nt.flags.c_contiguous
     i, j = np.ix_(range(n), range(n))
     # index grids in the narrow dtype, as a law's inner gathers produce

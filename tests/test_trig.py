@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import trig
+from rackwork.structures import WITNESS_CAP
 
 
 class TestContext:
@@ -168,3 +173,57 @@ class TestDerivedRack:
         s = rw.boolean_weak_rack_lattice(1)
         with pytest.raises(rw.KindMismatch):
             rw.trig_derived_rack(rw.make_trig_context(s, 1, 0))
+
+
+@st.composite
+def table_pairs(draw):
+    """Dot and diamond tables on n <= 5 points: arbitrary ones, which
+    nearly always fail the homomorphism laws, and the racks a.b = p(b),
+    b<>a = p^-1(b) for a permutation p, on which every law holds."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+        dot, diamond = draw(cells), draw(cells)
+    else:
+        p = draw(st.permutations(range(n)))
+        dot = [p[b] for a in range(n) for b in range(n)]
+        diamond = [p.index(b) for b in range(n) for a in range(n)]
+    return rw.Structure(n, rw.make_op_table(n, dot),
+                        rw.make_op_table(n, diamond), rw.UNCHECKED)
+
+
+def hom_failures(f, t):
+    """The (x, y) with f(x t y) != f(x) t f(y), by a plain double loop."""
+    n = len(t)
+    return [(x, y) for x in range(n) for y in range(n)
+            if f[t[x][y]] != t[f[x]][f[y]]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_pairs())
+def test_homomorphism_witnesses_match_double_loop(s):
+    n, dot, diamond = s.n, s.dot.tolist(), s.diamond.tolist()
+    for e in range(n):
+        ctx = rw.make_trig_context(s, e, 0)
+        cos, sin = dot[e], [row[e] for row in diamond]
+        rep = rw.check_trig_properties(ctx)
+        for name, f, t in ((trig.P_COS_DOT, cos, dot),
+                           (trig.P_COS_DIAMOND, cos, diamond),
+                           (trig.P_SIN_DOT, sin, dot),
+                           (trig.P_SIN_DIAMOND, sin, diamond)):
+            assert list(rep[name].witnesses) == hom_failures(f, t), (e, name)
+        for f in (cos, sin):
+            morphism = rw.check_morphism(f, s, s)
+            assert [w for _, w in morphism.failures] == (
+                hom_failures(f, dot) + hom_failures(f, diamond)), e
+
+        # exp_e((x,y)(u,v)) = (e.(x.u), (v<>y)<>e) against
+        # exp_e(x,y) exp_e(u,v) = ((e.x).(e.u), (v<>e)<>(y<>e))
+        expected = [(x, y, u, v)
+                    for x, y, u, v in itertools.product(range(n), repeat=4)
+                    if (cos[dot[x][u]], sin[diamond[v][y]])
+                    != (dot[cos[x]][cos[u]], diamond[sin[v]][sin[y]])]
+        exp_hom = rw.check_exp_homomorphism(s, e, max_witnesses=n ** 4)
+        assert [w for _, w in exp_hom.failures] == expected, e
+        assert [w for _, w in rw.check_exp_homomorphism(s, e).failures] == (
+            expected[:WITNESS_CAP]), e
