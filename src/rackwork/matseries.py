@@ -6,14 +6,17 @@ the sum of the first 3^n powers into a closed form:
     sum_{k=1}^{3^n} A^k
         = (tr(A)+1) (tr(A^3)+1) ... (tr(A^(3^(n-1)))+1) * A^((3^n+1)/2).
 
-Everything here is exact rational arithmetic (fractions.Fraction); there is
-no floating point anywhere, so closed form versus brute-force summation is
-an equality of values, not an approximation.
+Everything here is exact rational arithmetic: matrices hold
+fractions.Fraction entries, and the brute-force oracle sums Python integers
+over a common denominator before building its Fractions once.  There is no
+floating point anywhere, so closed form versus brute-force summation is an
+equality of values, not an approximation.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,15 +103,29 @@ def cayley_hamilton_residual(x: Mat2Q) -> Mat2Q:
 
 
 def brute_sum(a: Mat2Q, n_terms: int) -> Mat2Q:
-    """Independent oracle: sum_{k=1}^{N} a^k by multiply-accumulate."""
+    """Independent oracle: sum_{k=1}^{N} a^k by multiply-accumulate.
+
+    With q the lcm of the entry denominators and M = q a, the integer
+    matrix T_k = q T_{k-1} + M^k equals q^k times the partial sum, so the
+    loop runs on Python ints and the Fractions are built once, from T_N / q^N.
+    """
     if n_terms < 1:
         raise SizeMismatch("need at least one term")
-    total = ZERO
-    power = IDENTITY
+    q = math.lcm(*(x.denominator for x in a.entries()))
+    ma, mb, mc, md = (x.numerator * (q // x.denominator) for x in a.entries())
+    pa, pb, pc, pd = 1, 0, 0, 1
+    ta = tb = tc = td = 0
     for _ in range(n_terms):
-        power = mat_mul(power, a)
-        total = mat_add(total, power)
-    return total
+        pa, pb, pc, pd = (pa * ma + pb * mc, pa * mb + pb * md,
+                          pc * ma + pd * mc, pc * mb + pd * md)
+        if q == 1:
+            ta, tb, tc, td = ta + pa, tb + pb, tc + pc, td + pd
+        else:
+            ta, tb, tc, td = (q * ta + pa, q * tb + pb,
+                              q * tc + pc, q * td + pd)
+    den = q ** n_terms
+    return Mat2Q(Fraction(ta, den), Fraction(tb, den),
+                 Fraction(tc, den), Fraction(td, den))
 
 
 @dataclass(frozen=True)
@@ -150,9 +167,12 @@ def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False,
                       max_level: int = DEFAULT_MAX_LEVEL) -> SumResult:
     """Evaluate sum_{k=1}^{3^n} a^k through the trace-product closed form.
 
-    Requires det(a) = 1 exactly.  The factors come from repeated cubing
-    (a^(3^(j+1)) = (a^(3^j))^3); with_oracle additionally runs the
-    brute-force sum when 3^n is within the oracle range.
+    Requires det(a) = 1 exactly.  One chain of cubes C_j = a^(3^j),
+    C_{j+1} = C_j^3 for j < n-1, gives both parts: the factors
+    tr(C_j) + 1, and the power a * C_0 * C_1 ... C_{n-1}, which is
+    a^((3^n+1)/2) since (3^n+1)/2 = 1 + sum_{j<n} 3^j.  with_oracle
+    additionally runs the brute-force sum when 3^n is within the oracle
+    range.
     """
     d = det(a)
     if d != 1:
@@ -163,10 +183,12 @@ def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False,
         raise LevelTooLarge(f"level {n} exceeds cap {max_level}")
 
     factors = []
-    power = a
-    for _ in range(n):
-        factors.append(trace(power) + 1)
-        power = mat_mul(mat_mul(power, power), power)
+    cube = power = a
+    for j in range(n):
+        factors.append(trace(cube) + 1)
+        power = mat_mul(power, cube)
+        if j < n - 1:
+            cube = mat_mul(mat_mul(cube, cube), cube)
 
     exponent = (3 ** n + 1) // 2
     oracle = None
@@ -177,7 +199,7 @@ def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False,
         n=n,
         factors=tuple(factors),
         power_exponent=exponent,
-        power=mat_pow(a, exponent),
+        power=power,
         oracle=oracle,
     )
 

@@ -153,3 +153,114 @@ def test_closed_form_equals_brute_sum(seed, n):
 def test_cayley_hamilton_for_arbitrary_rational_matrices(a, b, c, d, p, q):
     m = rw.mat2(F(a, p), F(b, q), F(c, q), F(d, p))
     assert matseries.cayley_hamilton_residual(m) == matseries.ZERO
+
+
+def reference_closed_form(a, n):
+    """The closed form computed the long way: a cube loop for the factors,
+    then the power by binary exponentiation from a itself."""
+    factors = []
+    cube = a
+    for _ in range(n):
+        factors.append(rw.trace(cube) + 1)
+        cube = matseries.mat_mul(matseries.mat_mul(cube, cube), cube)
+    exponent = (3 ** n + 1) // 2
+    power = rw.mat_pow(a, exponent)
+    scalar = F(1)
+    for f in factors:
+        scalar *= f
+    return tuple(factors), exponent, power, matseries.mat_scale(scalar, power)
+
+
+def assert_matches_reference(a, n):
+    res = rw.trace_product_sum(a, n)
+    factors, exponent, power, closed_form = reference_closed_form(a, n)
+    assert res.factors == factors
+    assert res.power_exponent == exponent
+    assert res.power == power
+    assert res.closed_form == closed_form
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), word=st.integers(0, 6),
+       bound=st.integers(1, 3), n=st.integers(1, 5))
+def test_closed_form_matches_reference_on_unimodular(seed, word, bound, n):
+    assert_matches_reference(rw.random_unimodular(seed, word, bound), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 5)),
+       b=st.tuples(st.integers(-5, 5), st.integers(1, 5)),
+       c=st.tuples(st.integers(-5, 5), st.integers(1, 5)),
+       n=st.integers(1, 5))
+def test_closed_form_matches_reference_on_rational_det_one(a, b, c, n):
+    a, b, c = F(*a), F(*b), F(*c)
+    assert_matches_reference(rw.mat2(a, b, c, (1 + b * c) / a), n)
+
+
+@pytest.mark.parametrize("a", [SHEAR, GEOM], ids=["shear", "diagonal"])
+def test_closed_form_matches_reference_at_level_twelve(a):
+    assert_matches_reference(a, 12)
+
+
+def assert_telescopes(a, n, total):
+    """Sum of a^k for k = 1..N, checked without summing: (a - I) is
+    invertible when tr a != 2 (det(a - I) = 2 - tr a), so
+    (a - I) total = a^(N+1) - a pins total; when tr a = 2, (a - I)^2 = 0
+    and a^k = I + k (a - I)."""
+    big_n = 3 ** n
+    ident = matseries.IDENTITY
+    a_minus_i = matseries.mat_add(a, matseries.mat_scale(-1, ident))
+    if rw.trace(a) != 2:
+        assert matseries.mat_mul(a_minus_i, total) == matseries.mat_add(
+            rw.mat_pow(a, big_n + 1), matseries.mat_scale(-1, a))
+    else:
+        assert total == matseries.mat_add(
+            matseries.mat_scale(big_n, ident),
+            matseries.mat_scale(F(big_n * (big_n + 1), 2), a_minus_i))
+
+
+RATIONAL_SKEW = rw.mat2(2, F(1, 3), F(3, 2), F(3, 4))
+
+
+@pytest.mark.parametrize("a", [SHEAR, GEOM, HARD, RATIONAL_SKEW],
+                         ids=["shear", "diagonal", "growing", "rational"])
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_closed_form_telescopes_above_oracle_range(a, n):
+    assert_telescopes(a, n, rw.trace_product_sum(a, n).closed_form)
+
+
+def test_telescoping_check_rejects_a_wrong_sum():
+    total = rw.trace_product_sum(HARD, 7).closed_form
+    with pytest.raises(AssertionError):
+        assert_telescopes(HARD, 7, matseries.mat_add(total, matseries.IDENTITY))
+    total = rw.trace_product_sum(SHEAR, 7).closed_form
+    with pytest.raises(AssertionError):
+        assert_telescopes(SHEAR, 7, matseries.mat_scale(2, total))
+
+
+def fraction_brute_sum(a, n_terms):
+    """Plain Fraction multiply-accumulate, the oracle's reference."""
+    total = matseries.ZERO
+    power = matseries.IDENTITY
+    for _ in range(n_terms):
+        power = matseries.mat_mul(power, a)
+        total = matseries.mat_add(total, power)
+    return total
+
+
+@pytest.mark.parametrize("a", [
+    rw.mat2(2, 1, 0, 3),                            # integer, det 6
+    rw.mat2(1, -2, -1, 3),                          # integer, det 1
+    rw.mat2(F(1, 2), F(3, 2), F(-1, 2), F(1, 2)),   # shared denominator
+    rw.mat2(F(1, 3), 2, F(-1, 2), 0),               # coprime denominators
+    matseries.ZERO,
+], ids=["integer", "unimodular", "shared-den", "mixed-den", "zero"])
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 9, 27, 729])
+def test_brute_sum_matches_fraction_loop(a, n_terms):
+    assert rw.brute_sum(a, n_terms) == fraction_brute_sum(a, n_terms)
+
+
+@pytest.mark.parametrize("n_terms", [0, -1])
+def test_brute_sum_needs_a_term(n_terms):
+    with pytest.raises(rw.SizeMismatch):
+        rw.brute_sum(HARD, n_terms)
