@@ -118,11 +118,7 @@ def brute_sum(a: Mat2Q, n_terms: int) -> Mat2Q:
     for _ in range(n_terms):
         pa, pb, pc, pd = (pa * ma + pb * mc, pa * mb + pb * md,
                           pc * ma + pd * mc, pc * mb + pd * md)
-        if q == 1:
-            ta, tb, tc, td = ta + pa, tb + pb, tc + pc, td + pd
-        else:
-            ta, tb, tc, td = (q * ta + pa, q * tb + pb,
-                              q * tc + pc, q * td + pd)
+        ta, tb, tc, td = q * ta + pa, q * tb + pb, q * tc + pc, q * td + pd
     den = q ** n_terms
     return Mat2Q(Fraction(ta, den), Fraction(tb, den),
                  Fraction(tc, den), Fraction(td, den))
