@@ -271,6 +271,19 @@ def _parse_matrix(text: str) -> matseries.Mat2Q:
 
 
 def cmd_mat(args) -> int:
+    # exact entries pass the interpreter's default limit of 4300 digits for
+    # int-to-text conversion from level 9 up (Python 3.10.7 and later)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _mat_report(args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _mat_report(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _mat_report(args) -> int:
     a = _parse_matrix(args.a)
     report = Report("mat", args.json, args.all_witnesses)
     d = matseries.det(a)

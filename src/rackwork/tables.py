@@ -51,17 +51,21 @@ def _narrow(t: np.ndarray) -> np.ndarray:
 
 
 def _at(t: np.ndarray, i, j) -> np.ndarray:
-    """t[i, j] for a table t from _narrow and index grids i, j.
+    """t[i, j] for a table t from _narrow and index grids i, j, in one of
+    four forms:
 
-    A stack of tables, shape (m, n, n), gathers each structure from its own
-    table: structure s owns rows s*n .. s*n + n-1 of the stack's rows, and
-    s runs along the batch axis of _holds's grids.  On one table a plain
-    int i (the walked first variable) gathers from the row view, and grids
-    gather from the flat view at i * n + j, which numpy runs as one take
-    where t[i, j] is a two-array gather.  i * n + j cannot overflow even
-    when i and j are themselves narrowed gathers: every value is below n,
-    so the flat index is at most n*n - 1, which the dtype holds by
-    construction.
+    - stack, shape (m, n, n): structure s gathers from its own table, rows
+      s*n .. s*n + n-1 of the stack's rows, and s runs along the batch axis
+      of _holds's grids;
+    - int head: a plain int i (the walked first variable) gathers from the
+      row view;
+    - outer: a column i, shape (k, 1), against a row j, shape (1, m), copies
+      rows i and then picks columns j: two short index vectors, where the
+      flat form builds and converts a k x m index for every first value;
+    - flat: other grids gather from the flat view at i * n + j, one take
+      where t[i, j] is a two-array gather.  i * n + j cannot overflow even
+      when i and j are narrowed gathers: every value is below n, so the
+      flat index is at most n*n - 1, which the dtype holds by construction.
     """
     if t.ndim == 3:
         m, n = len(t), t.shape[-1]
@@ -70,6 +74,8 @@ def _at(t: np.ndarray, i, j) -> np.ndarray:
         return t.ravel().take((s + i) * n + j)
     if type(i) is int:
         return t[i].take(j)
+    if np.ndim(i) == np.ndim(j) == 2 and i.shape[1] == 1 and j.shape[0] == 1:
+        return t.take(i.ravel(), axis=0).take(j.ravel(), axis=1)
     return t.ravel().take(i * len(t) + j)
 
 
@@ -84,7 +90,8 @@ def _scan(law, n: int, k: int, cap: int) -> list[tuple[int, ...]]:
     other k-1 axes.  A subterm over the trailing variables in axis order is
     the table itself: write d[a, d], not d[a, d[b, c]], so that it is not
     gathered again for every first value.  Laws gather with _at from tables
-    passed through _narrow, so that every gather is a flat narrow take.
+    passed through _narrow; under the walk a column gathered against a row
+    takes _at's outer form, so no per-value n x n index is built.
     """
     if n ** k <= _SLAB_CELLS:
         chunks = [((), law(*_grids(n, k)))]

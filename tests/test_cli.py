@@ -356,6 +356,28 @@ class TestMat:
         assert json.loads(text)["data"]["power_matrix"] == [
             [str(power.a), str(power.b)], [str(power.c), str(power.d)]]
 
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_level_nine_prints_the_exact_closed_form(self, capsys, json_mode):
+        # entries of the level-9 sum run past the interpreter's default
+        # limit of 4300 digits for int-to-text conversion
+        limit = sys.get_int_max_str_digits()
+        result = matseries.trace_product_sum(rw.mat2(1, -2, -1, 3), 9)
+        code, text, err = run(capsys, "mat", "--a", "1,-2,-1,3", "--n", "9",
+                              *(["--json"] if json_mode else []))
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        m = result.closed_form
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(want[0][0]) > limit
+        if json_mode:
+            assert json.loads(text)["data"]["closed_form"] == want
+        else:
+            assert f"[[{want[0][0]}, {want[0][1]}], [{want[1][0]}, {want[1][1]}]]" in text
+
 
 class TestEnum:
     def test_counts(self, capsys):

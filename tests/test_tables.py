@@ -166,3 +166,31 @@ def test_narrow_flat_gather_matches_fancy_indexing(n):
     assert np.array_equal(_at(nt, _at(nt, ni, nj), _at(nt, nj, ni)), t[t, t.T])
     for a in (0, n - 1):
         assert np.array_equal(_at(nt, a, nt), t[a, t])
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 17, 257])
+def test_at_matches_fancy_indexing_in_every_form(n):
+    rng = np.random.default_rng(n)
+    t = rng.integers(0, n, (n, n))
+    nt = _narrow(t)
+    # a column and a row of lengths unlike n and each other, in the narrow
+    # dtype that a law's inner gathers produce
+    col = rng.integers(0, n, (n + 2, 1)).astype(nt.dtype)
+    row = rng.integers(0, n, (1, n + 5)).astype(nt.dtype)
+    vec = row.ravel()
+    i, j = np.ix_(range(n), range(n))
+    a = n - 1
+    cases = {
+        "column x row": (_at(nt, col, row), t[col, row]),
+        "full grid": (_at(nt, i, j), t),
+        "row x column": (_at(nt, row, col), t[row, col]),
+        "nested outer": (_at(nt, _at(nt, col, row[:, :1]), _at(nt, col[:1], row)),
+                         t[t[col, row[:, :1]], t[col[:1], row]]),
+        "outer under flat": (_at(nt, _at(nt, col, row), row), t[t[col, row], row]),
+        "int head": (_at(nt, a, row), t[a, row]),
+        "int head on the table": (_at(nt, a, nt), t[a, t]),
+        "int second under a column": (_at(nt, col, a), t[col, a]),
+        "int second under a gather": (_at(nt, _at(nt, a, vec), a), t[t[a, vec], a]),
+    }
+    for name, (got, want) in cases.items():
+        assert got.shape == want.shape and np.array_equal(got, want), name
