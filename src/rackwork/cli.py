@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import census, euler, fileio, matseries, structures, trig, ybe
-from .errors import DeterminantNotOne, InvalidFile, KindMismatch, RackworkError
+from .errors import InvalidFile, KindMismatch, RackworkError
 
 
 class Report:
@@ -220,21 +220,15 @@ def cmd_ybe(args) -> int:
         labels = None
     else:
         if args.file is None:
-            print("error: a structure file or --pairmap is required",
-                  file=sys.stderr)
-            return 2
+            raise RackworkError("a structure file or --pairmap is required")
         if args.map is None:
-            print("error: --map is required with a structure file",
-                  file=sys.stderr)
-            return 2
+            raise RackworkError("--map is required with a structure file")
         loaded = fileio.load_structure(args.file)
         labels = loaded.labels
         s = loaded.structure
         if args.map in ("exp", "cosh", "sinh"):
             if args.e is None:
-                print(f"error: --e is required for map {args.map!r}",
-                      file=sys.stderr)
-                return 2
+                raise RackworkError(f"--e is required for map {args.map!r}")
             ctx = trig.make_trig_context(s, args.e, 0)
             f = {"exp": lambda: euler.exp_map(s, args.e),
                  "cosh": lambda: euler.cosh_map(ctx),
@@ -441,9 +435,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DeterminantNotOne as exc:
-        print(f"determinant check failed: {exc}", file=sys.stderr)
-        return 1
     except KindMismatch as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .structures import WEAK_RACK, WITNESS_CAP, AxiomReport, Structure, _hom
-from .tables import _grids, _narrow, _scan
+from .tables import _by_value, _freeze, _grids, _narrow, _scan
 from .trig import TrigContext
 
 # clause identifiers for check_euler_formula
@@ -32,22 +32,16 @@ class PairMap:
     out: np.ndarray  # shape (n*n, 2), read-only
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.out, dtype=np.int64)
+        arr = _freeze(self.out)
         if arr.shape != (self.n * self.n, 2):
             raise IndexOutOfRange(
                 f"pair map needs shape ({self.n * self.n}, 2), got {arr.shape}"
             )
         if arr.size and (arr.min() < 0 or arr.max() >= self.n):
             raise IndexOutOfRange("pair map outputs must lie in the carrier")
-        arr.setflags(write=False)
         object.__setattr__(self, "out", arr)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PairMap)
-            and self.n == other.n
-            and np.array_equal(self.out, other.out)
-        )
+    __eq__ = _by_value
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         if not (0 <= x < self.n and 0 <= y < self.n):

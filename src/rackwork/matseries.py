@@ -159,8 +159,7 @@ class SumResult:
         return self.closed_form == self.oracle
 
 
-def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False,
-                      max_level: int = DEFAULT_MAX_LEVEL) -> SumResult:
+def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False) -> SumResult:
     """Evaluate sum_{k=1}^{3^n} a^k through the trace-product closed form.
 
     Requires det(a) = 1 exactly.  One chain of cubes C_j = a^(3^j),
@@ -175,8 +174,8 @@ def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False,
         raise DeterminantNotOne(d)
     if n < 1:
         raise SizeMismatch("level must be at least 1")
-    if n > max_level:
-        raise LevelTooLarge(f"level {n} exceeds cap {max_level}")
+    if n > DEFAULT_MAX_LEVEL:
+        raise LevelTooLarge(f"level {n} exceeds cap {DEFAULT_MAX_LEVEL}")
 
     factors = []
     cube = power = a

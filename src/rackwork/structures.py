@@ -39,7 +39,7 @@ AX_WEAK_COMPAT = "(ab) diamond a = a(b diamond a)"
 
 WITNESS_CAP = 32
 
-BOOLEAN_CARRIER_CAP = 256
+CARRIER_CAP = 256  # Boolean, trivial and product carriers
 
 
 def max_carrier(default: int) -> int:
@@ -52,6 +52,13 @@ def max_carrier(default: int) -> int:
     except ValueError:
         raise RackworkError(
             f"RACKWORK_MAX_N must be an integer, got {raw!r}") from None
+
+
+def _capped(n: int, form: str) -> int:
+    """n, the size of a carrier built as `form`, if it is within the cap."""
+    if n > max_carrier(CARRIER_CAP):
+        raise CarrierTooLarge(f"carrier {form} = {n} exceeds cap")
+    return n
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ def _report(laws, n: int, cap: int) -> AxiomReport:
     return AxiomReport(passed=not failures, failures=failures)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Structure:
     """A carrier with a dot table, a diamond table and a kind tag.
 
@@ -92,15 +99,6 @@ class Structure:
             raise SizeMismatch("dot/diamond tables disagree with carrier size")
         if self.kind not in KINDS:
             raise KindMismatch(f"unknown kind {self.kind!r}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Structure)
-            and self.n == other.n
-            and self.dot == other.dot
-            and self.diamond == other.diamond
-            and self.kind == other.kind
-        )
 
 
 def _left_distrib(d):
@@ -213,7 +211,7 @@ def trivial_rack(n: int) -> Structure:
     """The self-dual rack with ab = b and a<>b = a."""
     if n < 1:
         raise SizeMismatch("carrier size must be positive")
-    rng = np.arange(n)
+    rng = np.arange(_capped(n, "n"))
     dot = np.tile(rng, (n, 1))
     diamond = np.repeat(rng, n).reshape(n, n)
     return _from_arrays(dot, diamond, RACK)
@@ -222,10 +220,7 @@ def trivial_rack(n: int) -> Structure:
 def _boolean_carrier(k: int) -> int:
     if k < 0:
         raise SizeMismatch("atom count must be non-negative")
-    n = 1 << k
-    if n > max_carrier(BOOLEAN_CARRIER_CAP):
-        raise CarrierTooLarge(f"carrier 2^{k} = {n} exceeds cap")
-    return n
+    return _capped(1 << k, f"2^{k}")
 
 
 def boolean_weak_rack_implication(k: int) -> Structure:
@@ -245,18 +240,27 @@ def boolean_weak_rack_lattice(k: int) -> Structure:
     return _from_arrays(a | b, a & b, WEAK_RACK)
 
 
+def _opposite(s: Structure) -> Structure:
+    """s with dot (a, b) -> b<>a and diamond (a, b) -> b.a, kind unverified."""
+    return Structure(s.n, OpTable(s.n, s.diamond.entries.T),
+                     OpTable(s.n, s.dot.entries.T), s.kind)
+
+
 def dual_rack(s: Structure) -> Structure:
     """Opposite structure: new dot (a, b) -> b<>a and new diamond
     (a, b) -> b.a; an involution.  The kind is re-verified on the dual."""
-    return _from_arrays(s.diamond.entries.T, s.dot.entries.T, s.kind)
+    dual = _opposite(s)
+    _verify_kind(dual)
+    return dual
 
 
 def direct_product(s1: Structure, s2: Structure) -> Structure:
-    """Componentwise product on pairs, pair (x, y) encoded as x*n2 + y."""
+    """Componentwise product on pairs, pair (x, y) encoded as x*n2 + y;
+    the n1*n2 pairs are subject to the carrier cap."""
     if s1.kind != s2.kind:
         raise KindMismatch(f"cannot combine {s1.kind} with {s2.kind}")
     n2 = s2.n
-    m = s1.n * n2
+    m = _capped(s1.n * n2, f"{s1.n} x {n2}")
 
     def combine(t1, t2):
         out = t1[:, None, :, None] * n2 + t2[None, :, None, :]
@@ -270,20 +274,11 @@ def direct_product(s1: Structure, s2: Structure) -> Structure:
 
 
 def product_with_dual(s: Structure) -> Structure:
-    """Product of a structure with its dual on pairs: the main operation is
-    the box product (x,y)(u,v) = (xu, v<>y) and the companion is
-    ((x,y),(u,v)) -> (x<>u, vy).  The kind is re-verified on the result."""
-    n = s.n
-    m = n * n
-    d = s.dot.entries
-    e = s.diamond.entries
-
-    def combine(t1, t2):
-        # component 1 from (x, u), component 2 from (v, y)
-        out = t1[:, None, :, None] * n + t2.T[None, :, None, :]
-        return np.ascontiguousarray(out.reshape(m, m))
-
-    return _from_arrays(combine(d, e), combine(e, d), s.kind)
+    """The direct product of a structure with its dual: its main operation
+    is the box product (x,y)(u,v) = (xu, v<>y) and its companion is
+    ((x,y),(u,v)) -> (x<>u, vy).  The kind is verified on the product
+    only, so a mis-tagged s gets the product's witness."""
+    return direct_product(s, _opposite(s))
 
 
 def check_morphism(f, s1: Structure, s2: Structure,

@@ -28,6 +28,20 @@ def _freeze(arr: np.ndarray, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _by_value(self, other) -> bool:
+    """Equality of two records of one type, field by field, with array
+    fields compared by value; records that define it are unhashable."""
+    if type(other) is not type(self):
+        return False
+    for a, b in zip(vars(self).values(), vars(other).values()):
+        if type(a) is np.ndarray:
+            if a.shape != b.shape or not (a == b).all():
+                return False
+        elif a != b:
+            return False
+    return True
+
+
 _SLAB_CELLS = 1 << 18  # larger scans walk the first variable value by value
 
 
@@ -148,12 +162,7 @@ class OpTable:
             )
         object.__setattr__(self, "entries", ent)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OpTable)
-            and self.n == other.n
-            and np.array_equal(self.entries, other.entries)
-        )
+    __eq__ = _by_value
 
     def tolist(self) -> list[list[int]]:
         return self.entries.tolist()
@@ -208,14 +217,7 @@ class GroupTable:
     def __post_init__(self):
         object.__setattr__(self, "inv", _freeze(np.asarray(self.inv)))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupTable)
-            and self.n == other.n
-            and self.mul == other.mul
-            and self.identity == other.identity
-            and np.array_equal(self.inv, other.inv)
-        )
+    __eq__ = _by_value
 
 
 def validate_group(mul: OpTable) -> GroupTable:

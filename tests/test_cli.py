@@ -66,6 +66,34 @@ class TestMake:
         assert box.structure == rw.product_with_dual(conj)
         assert box.labels and box.labels[7] == "((12),(12))"
 
+    def test_product_dual_witness_is_the_products(self, tmp_path, capsys,
+                                                  conj_s3):
+        # a rack-tagged file with two dot entries swapped: the product is
+        # verified as a whole, so the witness lies on the pair carrier
+        dot = conj_s3.dot.tolist()
+        dot[0][0], dot[0][1] = dot[0][1], dot[0][0]
+        path = tmp_path / "mistagged.json"
+        path.write_text(json.dumps({"kind": "rack", "n": 6, "dot": dot,
+                                    "diamond": conj_s3.diamond.tolist()}))
+        code, out, err = run(capsys, "make", "product-dual", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("verification failed: claimed rack violates "
+                       "'a(bc) = (ab)(ac)' at (0, 0, 0)\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["trivial", "--n", str(2 ** 40)],
+         "carrier n = 1099511627776 exceeds cap"),
+        (["product-dual", "FILE"], "carrier 17 x 17 = 289 exceeds cap"),
+    ], ids=["trivial", "product-dual"])
+    def test_carrier_cap_is_exit_2(self, tmp_path, capsys, monkeypatch,
+                                   argv, line):
+        monkeypatch.delenv("RACKWORK_MAX_N", raising=False)
+        path = tmp_path / "t17.json"
+        fileio.save_structure(str(path), rw.trivial_rack(17))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, "make", *argv)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
     def test_trig_derived(self, tmp_path, capsys, conj_file):
         out = str(tmp_path / "d.json")
         code, _, _ = run(capsys, "make", "trig-derived", conj_file,
@@ -103,6 +131,15 @@ class TestCheck:
     def test_valid_rack(self, capsys, conj_file):
         code, text, _ = run(capsys, "check", conj_file)
         assert code == 0
+        assert "result: PASS" in text
+
+    def test_valid_weak_rack(self, tmp_path, capsys):
+        path = str(tmp_path / "b.json")
+        fileio.save_structure(path, rw.boolean_weak_rack_implication(2))
+        code, text, _ = run(capsys, "check", path)
+        assert code == 0
+        assert "kind = weak_rack\n" in text
+        assert "[pass] weak-rack axioms\n" in text
         assert "result: PASS" in text
 
     def test_broken_axiom_is_exit_1_with_witness(self, tmp_path, capsys):
@@ -251,9 +288,18 @@ class TestYbeSystem:
             assert run(capsys, "ybe", conj_file, "--map", m)[0] == 0
 
     def test_exp_requires_e(self, capsys, conj_file):
-        code, _, err = run(capsys, "ybe", conj_file, "--map", "exp")
-        assert code == 2
-        assert "--e" in err
+        code, out, err = run(capsys, "ybe", conj_file, "--map", "exp")
+        assert (code, out, err) == (
+            2, "", "error: --e is required for map 'exp'\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        ([], "a structure file or --pairmap is required"),
+        (["FILE"], "--map is required with a structure file"),
+    ], ids=["no-input", "no-map"])
+    def test_missing_input_is_exit_2(self, capsys, conj_file, argv, line):
+        argv = [conj_file if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, "ybe", *argv)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
 
     def test_pairmap_negative_fixture(self, tmp_path, capsys):
         import numpy as np
@@ -325,6 +371,28 @@ class TestMat:
     def test_bad_matrix_is_exit_2(self, capsys):
         code, _, err = run(capsys, "mat", "--a", "1,2,3", "--n", "1")
         assert code == 2
+
+    def test_zero_denominator_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "mat", "--a", "1/0,0,0,1", "--n", "1")
+        assert (code, out, err) == (
+            2, "", "error: bad rational in matrix: Fraction(1, 0)\n")
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_brute_above_oracle_levels_is_a_note(self, capsys, json_mode):
+        code, text, err = run(capsys, "mat", "--a", "1,1,0,1", "--n", "7",
+                              "--brute", *(["--json"] if json_mode else []))
+        assert (code, err) == (0, "")
+        note = "brute oracle unavailable for levels above 6"
+        if json_mode:
+            doc = json.loads(text)
+            assert doc["notes"] == [note]
+            assert "oracle" not in doc["data"]
+            assert [c["name"] for c in doc["checks"]] == [
+                "det(A) = 1", "det(A^1094) = 1 (unimodularity consistency "
+                "for the power matrix)"]
+        else:
+            assert f"note: {note}\n" in text
+            assert "EQUALS brute-force sum" not in text
 
     def test_json_mode(self, capsys):
         code, text, _ = run(capsys, "mat", "--a", "1,-2,-1,3", "--n", "2",
@@ -423,6 +491,7 @@ class TestCliPlumbing:
         rw.LevelTooLarge("level too large"), rw.NotAssociative(1, 1, 2),
         rw.NoIdentity("no identity"), rw.NoInverse(3),
         rw.NotLeftInvertible("row 0"), rw.CarrierMismatch("carriers differ"),
+        rw.DeterminantNotOne(4),
     ], ids=lambda exc: type(exc).__name__)
     def test_library_errors_are_exit_2(self, capsys, monkeypatch, exc):
         def fail(args):

@@ -255,6 +255,11 @@ class TestTrivialAndDual:
         assert s.dot.tolist() == [[0, 1], [0, 1]]
         assert s.diamond.tolist() == [[0, 0], [1, 1]]
 
+    def test_trivial_carrier_cap(self, monkeypatch):
+        monkeypatch.delenv("RACKWORK_MAX_N", raising=False)
+        with pytest.raises(rw.CarrierTooLarge):
+            rw.trivial_rack(2 ** 40)
+
     def test_trivial_is_self_dual(self):
         for n in (1, 2, 5):
             assert rw.dual_rack(rw.trivial_rack(n)) == rw.trivial_rack(n)
@@ -284,6 +289,24 @@ class TestProducts:
         with pytest.raises(rw.KindMismatch):
             rw.direct_product(rw.trivial_rack(2),
                               rw.boolean_weak_rack_lattice(1))
+
+    @pytest.mark.parametrize("product", [
+        lambda s: rw.direct_product(s, rw.trivial_rack(16)),
+        lambda s: rw.direct_product(rw.trivial_rack(16), s),
+        rw.product_with_dual,
+    ], ids=["direct-17x16", "direct-16x17", "with-dual-17x17"])
+    def test_carrier_cap(self, monkeypatch, product):
+        # 17 * 16 = 272 and 17 * 17 = 289 exceed the cap of 256
+        monkeypatch.delenv("RACKWORK_MAX_N", raising=False)
+        with pytest.raises(rw.CarrierTooLarge):
+            product(rw.trivial_rack(17))
+
+    def test_box_product_is_direct_product_with_dual(self, fleet):
+        for name, s in fleet:
+            if s.n > 8:
+                continue
+            p = rw.product_with_dual(s)
+            assert p == rw.direct_product(s, rw.dual_rack(s)), name
 
     def test_box_product_on_trivial(self):
         # substituting ab = b, a<>b = a into (xu, v<>y) yields (u, v), so

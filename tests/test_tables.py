@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import rackwork as rw
+from rackwork import euler
 from rackwork.tables import _at, _narrow
 from conftest import S3_ELEMS, compose, invert, s3_mul_table
 
@@ -139,6 +142,49 @@ def test_op_table_is_immutable():
 def test_op_table_equality():
     assert rw.make_op_table(2, XOR) == rw.make_op_table(2, XOR)
     assert rw.make_op_table(2, XOR) != rw.make_op_table(2, [0, 1, 1, 1])
+
+
+def _records():
+    """Per by-value record type: a record, an equal copy built from fresh
+    arrays, records that differ from it in one field, and a value of
+    another type."""
+    xor = rw.make_op_table(2, XOR)
+    flip = rw.make_op_table(2, [0, 1, 1, 1])  # one entry of xor differs
+    g = rw.validate_group(xor)
+    s = rw.trivial_rack(2)
+    f = euler.identity_pair_map(2)
+    return {
+        "OpTable": (xor, rw.OpTable(2, xor.entries.copy()),
+                    [flip, rw.make_op_table(1, [0])], xor.entries),
+        "GroupTable": (g, rw.GroupTable(2, rw.make_op_table(2, XOR), 0,
+                                        g.inv.copy()),
+                       [replace(g, n=3), replace(g, mul=flip),
+                        replace(g, identity=1), replace(g, inv=[1, 0])],
+                       g.mul),
+        "Structure": (s, rw.Structure(2, rw.OpTable(2, s.dot.entries.copy()),
+                                      rw.OpTable(2, s.diamond.entries.copy()),
+                                      rw.RACK),
+                      [rw.trivial_rack(3), replace(s, dot=flip),
+                       replace(s, diamond=flip),
+                       replace(s, kind=rw.UNCHECKED)],
+                      s.dot),
+        "PairMap": (f, rw.PairMap(2, f.out.copy()),
+                    [euler.identity_pair_map(3),
+                     rw.PairMap(2, [[0, 0], [0, 1], [1, 0], [1, 0]])],
+                    f.out),
+    }
+
+
+@pytest.mark.parametrize("kind", ["OpTable", "GroupTable", "Structure",
+                                  "PairMap"])
+def test_records_compare_by_value(kind):
+    record, copy, variants, other = _records()[kind]
+    assert record == copy and not record != copy
+    for variant in variants:
+        assert record != variant and not record == variant
+    assert (record == other) is False and (record != other) is True
+    with pytest.raises(TypeError):
+        hash(record)
 
 
 def test_narrow_dtype_by_carrier():
