@@ -10,11 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidFile, RackworkError
 from .euler import PairMap
-from .structures import KINDS, Structure
+from .structures import KINDS, Structure, _capped
 from .tables import GroupTable, OpTable, make_op_table, validate_group
 
 
@@ -46,7 +44,7 @@ def _is_int(v) -> bool:
 def _carrier(doc: dict, path: str) -> int:
     n = doc.get("n")
     _require(_is_int(n) and n >= 1, f"{path}: n must be a positive integer")
-    return n
+    return _capped(n, f"n of {path}")
 
 
 def _read_json(path: str) -> dict:
@@ -116,8 +114,8 @@ def load_structure(path: str) -> LoadedStructure:
     _check_labels(labels, n)
     s = Structure(
         n,
-        OpTable(n, np.asarray(doc["dot"])),
-        OpTable(n, np.asarray(doc["diamond"])),
+        OpTable(n, doc["dot"]),
+        OpTable(n, doc["diamond"]),
         kind,
     )
     return LoadedStructure(structure=s, labels=labels)
@@ -172,4 +170,4 @@ def load_pair_map(path: str) -> PairMap:
         _require(isinstance(pair, list) and len(pair) == 2
                  and all(_is_int(v) and 0 <= v < n for v in pair),
                  f"{path}: out entries must be pairs of indices in [0, {n - 1}]")
-    return PairMap(n, np.asarray(out, dtype=np.int64))
+    return PairMap(n, out)

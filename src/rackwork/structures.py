@@ -39,7 +39,7 @@ AX_WEAK_COMPAT = "(ab) diamond a = a(b diamond a)"
 
 WITNESS_CAP = 32
 
-CARRIER_CAP = 256  # Boolean, trivial and product carriers
+CARRIER_CAP = 256  # Boolean, trivial, product and loaded carriers
 
 
 def max_carrier(default: int) -> int:

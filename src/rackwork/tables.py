@@ -22,8 +22,10 @@ from .errors import (
 )
 
 
-def _freeze(arr: np.ndarray, dtype=np.int64) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
+def _freeze(arr, dtype=np.int64) -> np.ndarray:
+    """A read-only, contiguous copy of arr in dtype: never arr itself nor a
+    view of it, so that no caller can write to it afterwards."""
+    out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -57,8 +59,8 @@ def _narrow(t: np.ndarray) -> np.ndarray:
     """t, or a stack of tables, for a law scan: read-only, contiguous and in
     the smallest unsigned dtype that holds n*n - 1, n = t.shape[-1] (uint8
     up to n = 16, uint16 up to 256, uint32 up to 65536), so that _at
-    gathers from it with one flat take.  A table in any other form is
-    copied; callers keep the copy for one check.
+    gathers from it with one flat take.  It is a copy (see _freeze), which
+    callers keep for one check.
     """
     n = t.shape[-1]
     return _freeze(t, np.min_scalar_type(n * n - 1))
@@ -151,7 +153,7 @@ class OpTable:
     def __post_init__(self):
         if self.n < 1:
             raise SizeMismatch(f"carrier size must be positive, got {self.n}")
-        ent = _freeze(np.asarray(self.entries))
+        ent = _freeze(self.entries)
         if ent.shape != (self.n, self.n):
             raise SizeMismatch(
                 f"expected {self.n}x{self.n} table, got shape {ent.shape}"
@@ -215,7 +217,7 @@ class GroupTable:
     inv: np.ndarray  # shape (n,), read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "inv", _freeze(np.asarray(self.inv)))
+        object.__setattr__(self, "inv", _freeze(self.inv))
 
     __eq__ = _by_value
 

@@ -9,6 +9,14 @@ every check in this module.
 From a structure two classical solutions arise, W(x,y) = (x, x.y) and
 Z(x,y) = (x<>y, y); together with exp_e they form a three-map system tied
 by two mixed equations, all checked exhaustively over n^3 triples.
+
+Each output coordinate of a pair map is classified once per check by the
+inputs it reads: the first only, the second only, or both.  A one-input
+coordinate that is the identity is a projection and returns its input grid
+unchanged; any other one-input coordinate gathers from an n-vector indexed
+by that input alone; only a coordinate that reads both inputs gathers from
+an n x n table.  exp_e(x,y) = (e.x, y<>e), cosh and sinh therefore never
+gather a table, and W and Z gather one coordinate per lift.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ EQ_MIXED_HIGH = "A12 A13 B23 = B23 A13 A12"
 def lift(f: PairMap, positions: int):
     """The action of f on triples at the given coordinate pair (12, 13, 23).
 
-    Returns a callable on (x, y, z) tuples; the vectorized equivalents used
-    by the exhaustive checks live in _apply_lift.
+    Returns a callable on (x, y, z) tuples.  The exhaustive checks use the
+    vectorized equivalent, _apply_lift, on f's coordinates as _components
+    classifies them: projections, one-input vectors and two-input tables.
     """
     if positions not in POSITIONS:
         raise IndexOutOfRange(f"positions must be one of {POSITIONS}")
@@ -56,15 +65,33 @@ def _apply_lift(comps, positions, state):
     c1, c2 = comps
     x, y, z = state
     if positions == 12:
-        return (_at(c1, x, y), _at(c2, x, y), z)
+        return (c1(x, y), c2(x, y), z)
     if positions == 13:
-        return (_at(c1, x, z), y, _at(c2, x, z))
-    return (x, _at(c1, y, z), _at(c2, y, z))
+        return (c1(x, z), y, c2(x, z))
+    return (x, c1(y, z), c2(y, z))
+
+
+def _coordinate(c: np.ndarray):
+    """Output coordinate c[u, v] of a pair map as a function of the input
+    grids u and v that gathers only what c reads: the input itself for a
+    projection, an n-vector indexed by the one input read, else the table.
+    An int input (the walked first variable) stays an int through a vector.
+    """
+    # k = 0: c[u, v] = c[u, 0] for every v; k = 1: c[u, v] = c[0, v]
+    for k, vec in enumerate((c[:, 0], c[0])):
+        if (c == np.expand_dims(vec, 1 - k)).all():
+            if (vec == np.arange(len(vec))).all():
+                return lambda *uv: uv[k]
+            vec = _narrow(vec)
+            return lambda *uv: (int(vec[uv[k]]) if type(uv[k]) is int
+                                else vec.take(uv[k]))
+    t = _narrow(c)
+    return lambda u, v: _at(t, u, v)
 
 
 def _components(f: PairMap):
-    """f's output coordinates as law-scan tables (see tables._narrow)."""
-    return tuple(map(_narrow, f.components()))
+    """f's two output coordinates, each classified by _coordinate."""
+    return tuple(map(_coordinate, f.components()))
 
 
 def _run_word(word, state):
@@ -78,7 +105,12 @@ def _equation_report(name, lhs_word, rhs_word, n, max_witnesses):
     def law(*start):
         a = _run_word(lhs_word, start)
         b = _run_word(rhs_word, start)
-        return (a[0] != b[0]) | (a[1] != b[1]) | (a[2] != b[2])
+        bad = np.False_
+        for p, q in zip(a, b):
+            # one object on both sides: a coordinate both words leave alone
+            if p is not q:
+                bad = bad | (p != q)
+        return bad
 
     return _report([(name, 3, law)], n, max_witnesses)
 

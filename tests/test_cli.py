@@ -501,6 +501,33 @@ class TestCliPlumbing:
         code, out, err = run(capsys, "check", "structure.json")
         assert (code, out, err) == (2, "", f"error: {exc}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "FILE"],
+        ["make", "conj", "--group", "FILE", "--out", "OUT"],
+        ["ybe", "--pairmap", "FILE"],
+    ], ids=["structure", "group", "pair-map"])
+    def test_loaded_carrier_cap(self, tmp_path, capsys, monkeypatch, argv):
+        # valid 257-point files: the trivial rack, the cyclic group and the
+        # identity pair map
+        n = 257
+        rng = range(n)
+        doc = {
+            "check": {"kind": "rack", "n": n, "dot": [list(rng)] * n,
+                      "diamond": [[c] * n for c in rng]},
+            "make": {"n": n, "mul": [[(a + b) % n for b in rng] for a in rng]},
+            "ybe": {"n": n, "out": [[x, y] for x in rng for y in rng]},
+        }[argv[0]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        paths = {"FILE": str(path), "OUT": str(tmp_path / "out.json")}
+        argv = [paths.get(a, a) for a in argv]
+        monkeypatch.delenv("RACKWORK_MAX_N", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", f"error: carrier n of {path} = 257 exceeds cap\n")
+        monkeypatch.setenv("RACKWORK_MAX_N", "257")
+        assert run(capsys, *argv)[0] == 0
+
     def test_missing_args_is_exit_2(self, capsys):
         assert run(capsys, "mat", "--n", "1")[0] == 2
 
@@ -511,7 +538,8 @@ class TestCliPlumbing:
             "--variant", "implication", "--out", out1)
         loaded = fileio.load_structure(out1)
         fileio.save_structure(out2, loaded.structure, loaded.labels)
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        with open(out1, "rb") as a, open(out2, "rb") as b:
+            assert a.read() == b.read()
 
     def test_console_script_entry(self, tmp_path):
         """The installed module is runnable as a subprocess."""

@@ -187,13 +187,42 @@ def test_records_compare_by_value(kind):
         hash(record)
 
 
+def _record_from(kind, arr):
+    """A record built on arr, and the field that keeps it."""
+    if kind == "OpTable":
+        return rw.OpTable(2, arr), lambda r: r.entries
+    if kind == "GroupTable":
+        mul = rw.make_op_table(2, XOR)
+        return rw.GroupTable(2, mul, 0, arr), lambda r: r.inv
+    return rw.PairMap(2, arr), lambda r: r.out
+
+
+@pytest.mark.parametrize("kind", ["OpTable", "GroupTable", "PairMap"])
+def test_records_do_not_alias_the_callers_array(kind):
+    # a record's array given as a fresh contiguous int64 array, then as a
+    # contiguous view of a larger one whose base the caller can still write
+    valid = {"OpTable": [[0, 1], [1, 0]], "GroupTable": [0, 1],
+             "PairMap": [[0, 0], [0, 1], [1, 0], [1, 1]]}[kind]
+    fresh = np.array(valid, dtype=np.int64)
+    base = np.array(valid + valid[:1], dtype=np.int64)
+    for arr, owner in ((fresh, fresh), (base[:-1], base)):
+        record, field = _record_from(kind, arr)
+        kept = field(record)
+        assert not np.shares_memory(kept, owner)
+        assert arr.flags.writeable and owner.flags.writeable
+        owner[0] = 1 - owner[0]
+        assert kept.tolist() == valid and not kept.flags.writeable
+
+
 def test_narrow_dtype_by_carrier():
     for n, dtype in ((1, np.uint8), (16, np.uint8), (17, np.uint16),
                      (64, np.uint16), (65, np.uint16), (256, np.uint16),
                      (257, np.uint32)):
-        t = _narrow(np.zeros((n, n), dtype=np.int64))
-        assert t.dtype == dtype, n
-        assert not t.flags.writeable and t.flags.c_contiguous, n
+        table = np.arange(n * n, dtype=np.int64).reshape(n, n) % n
+        for src in (table, table.T):  # a transpose is copied in row order
+            t = _narrow(src)
+            assert t.dtype == dtype and np.array_equal(t, src), n
+            assert not t.flags.writeable and t.flags.c_contiguous, n
 
 
 @pytest.mark.parametrize("n", [256, 257])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import euler
+from rackwork import euler, tables, ybe
 from rackwork.structures import AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, WITNESS_CAP
 
 
@@ -21,14 +21,22 @@ def swap_pair_map(n: int) -> rw.PairMap:
     return rw.PairMap(n, np.asarray(out))
 
 
+def brute_word_failures(n: int, lhs, rhs):
+    """Triple-loop oracle for an equation between two words of (pair map,
+    position) factors, each applied rightmost first through rw.lift."""
+    def run(word, t):
+        for f, pos in reversed(word):
+            t = rw.lift(f, pos)(t)
+        return t
+
+    return [t for t in itertools.product(range(n), repeat=3)
+            if run(lhs, t) != run(rhs, t)]
+
+
 def brute_qybe_failures(f: rw.PairMap):
     """Triple-loop oracle for the braid-style equation, rightmost first."""
-    l12, l13, l23 = rw.lift(f, 12), rw.lift(f, 13), rw.lift(f, 23)
-    bad = []
-    for t in itertools.product(range(f.n), repeat=3):
-        if l12(l13(l23(t))) != l23(l13(l12(t))):
-            bad.append(t)
-    return bad
+    return brute_word_failures(f.n, [(f, 12), (f, 13), (f, 23)],
+                               [(f, 23), (f, 13), (f, 12)])
 
 
 class TestLift:
@@ -247,3 +255,86 @@ def test_qybe_exp_fails_where_the_factors_do_not_commute(tables):
         rep = rw.check_qybe(rw.exp_map(s, a))
         assert rep.passed == (not bad_y)
         assert [w for _, w in rep.failures] == expected[:WITNESS_CAP]
+
+
+COORDINATES = ("projection of x", "projection of y", "constant",
+               "vector of x", "vector of y", "table")
+
+
+@st.composite
+def classed_pair_maps(draw, n):
+    """Pair maps on n points whose two output coordinates are each drawn
+    from one of the classes ybe._coordinate tells apart."""
+    x, y = np.ix_(range(n), range(n))
+    cells = st.integers(0, n - 1)
+
+    def vector():
+        return np.asarray(draw(st.lists(cells, min_size=n, max_size=n)))
+
+    def coordinate():
+        kind = draw(st.sampled_from(COORDINATES))
+        c = {"projection of x": lambda: x,
+             "projection of y": lambda: y,
+             "constant": lambda: np.asarray(draw(cells)),
+             "vector of x": lambda: vector()[x],
+             "vector of y": lambda: vector()[y],
+             "table": lambda: np.asarray(draw(st.lists(
+                 cells, min_size=n * n, max_size=n * n))).reshape(n, n)}[kind]()
+        return np.broadcast_to(c, (n, n))
+
+    return euler.pair_map_from_components(coordinate(), coordinate())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_words_match_triple_loop_for_every_coordinate_class(data):
+    n = data.draw(st.integers(1, 5))
+    a, b = data.draw(classed_pair_maps(n)), data.draw(classed_pair_maps(n))
+    checks = [
+        (lambda: rw.check_qybe(a),
+         [(a, 12), (a, 13), (a, 23)], [(a, 23), (a, 13), (a, 12)]),
+        (lambda: rw.check_mixed(a, b, 12),
+         [(a, 23), (a, 13), (b, 12)], [(b, 12), (a, 13), (a, 23)]),
+        (lambda: rw.check_mixed(a, b, 23),
+         [(a, 12), (a, 13), (b, 23)], [(b, 23), (a, 13), (a, 12)]),
+    ]
+    for check, lhs, rhs in checks:
+        expected = brute_word_failures(n, lhs, rhs)[:WITNESS_CAP]
+        # one call over all n^3 triples, then walked value by value
+        for slab in (tables._SLAB_CELLS, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tables, "_SLAB_CELLS", slab)
+                rep = check()
+            assert rep.passed == (not expected)
+            assert [w for _, w in rep.failures] == expected
+
+
+def test_only_two_input_coordinates_gather_a_table(conj_s3, monkeypatch):
+    calls = {"lift": 0, "table": 0}
+    real_lift, real_at = ybe._apply_lift, ybe._at
+
+    def lift(*args):
+        calls["lift"] += 1
+        return real_lift(*args)
+
+    def at(*args):
+        calls["table"] += 1
+        return real_at(*args)
+
+    monkeypatch.setattr(ybe, "_apply_lift", lift)
+    monkeypatch.setattr(ybe, "_at", at)
+
+    def gathers(f):
+        calls.update(lift=0, table=0)
+        assert rw.check_qybe(f).passed
+        return calls["table"], calls["lift"]
+
+    ctx = rw.make_trig_context(conj_s3, 1, 4)
+    for slab, lifts in ((tables._SLAB_CELLS, 6), (1, 6 * conj_s3.n)):
+        monkeypatch.setattr(tables, "_SLAB_CELLS", slab)
+        # W and Z: one projection and one table coordinate
+        assert gathers(rw.w_map(conj_s3)) == (lifts, lifts)
+        assert gathers(rw.z_map(conj_s3)) == (lifts, lifts)
+        # exp_e, cosh, sinh: each coordinate reads one input
+        for f in (rw.exp_map(conj_s3, 1), rw.cosh_map(ctx), rw.sinh_map(ctx)):
+            assert gathers(f) == (0, lifts)
