@@ -204,3 +204,17 @@ class TestPairMapBasics:
         with pytest.raises(rw.IndexOutOfRange):
             euler.compose(euler.identity_pair_map(2),
                           euler.identity_pair_map(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda s: rw.exp_map(s, 2).apply(1, 3),
+                 "(1,3) outside carrier 3", id="pair-map-apply"),
+    pytest.param(lambda s: rw.box_apply(s, (0, 1), (2, -1)),
+                 "-1 outside carrier 3", id="box-apply"),
+    pytest.param(lambda s: rw.check_exp_homomorphism(s, 3),
+                 "3 outside carrier 3", id="exp-homomorphism-base"),
+])
+def test_guards(call, message):
+    with pytest.raises(rw.IndexOutOfRange) as exc:
+        call(rw.trivial_rack(3))
+    assert str(exc.value) == message

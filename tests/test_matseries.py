@@ -264,3 +264,17 @@ def test_brute_sum_matches_fraction_loop(a, n_terms):
 def test_brute_sum_needs_a_term(n_terms):
     with pytest.raises(rw.SizeMismatch):
         rw.brute_sum(HARD, n_terms)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: rw.random_unimodular(0, -1, 3), rw.SizeMismatch,
+                 "word length must be non-negative", id="word-length"),
+])
+def test_guards(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_rows():
+    assert HARD.rows() == [[1, -2], [-1, 3]]

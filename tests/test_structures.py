@@ -383,3 +383,27 @@ class TestKindVerification:
         for name, s in fleet:
             if s.kind == rw.RACK:
                 assert rw.is_left_invertible(s.dot), name
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: rw.Structure(2, add_mod(2), add_mod(3), rw.UNCHECKED),
+                 rw.SizeMismatch,
+                 "dot/diamond tables disagree with carrier size", id="sizes"),
+    pytest.param(lambda: rw.Structure(2, add_mod(2), add_mod(2), "quandle"),
+                 rw.KindMismatch, "unknown kind 'quandle'", id="kind"),
+    pytest.param(lambda: rw.trivial_rack(0), rw.SizeMismatch,
+                 "carrier size must be positive", id="trivial-empty"),
+    pytest.param(lambda: rw.boolean_weak_rack_lattice(-1), rw.SizeMismatch,
+                 "atom count must be non-negative", id="boolean-atoms"),
+])
+def test_guards(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_derived_diamond_needs_permutation_rows():
+    from rackwork.structures import derived_diamond_matches
+    s = rw.Structure(2, rw.make_op_table(2, [0] * 4),
+                     rw.make_op_table(2, [0] * 4), rw.UNCHECKED)
+    assert not derived_diamond_matches(s)

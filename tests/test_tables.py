@@ -269,3 +269,17 @@ def test_at_matches_fancy_indexing_in_every_form(n):
     }
     for name, (got, want) in cases.items():
         assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: rw.OpTable(0, np.zeros((0, 0))),
+                 "carrier size must be positive, got 0", id="optable-empty"),
+    pytest.param(lambda: rw.OpTable(2, np.zeros((3, 3))),
+                 "expected 2x2 table, got shape (3, 3)", id="optable-shape"),
+    pytest.param(lambda: rw.make_op_table(0, []),
+                 "carrier size must be positive, got 0", id="make-empty"),
+])
+def test_guards(call, message):
+    with pytest.raises(rw.SizeMismatch) as exc:
+        call()
+    assert str(exc.value) == message

@@ -74,15 +74,25 @@ class TestProperties:
         assert not rep.rack_only  # full rack: everything in the main section
 
     def test_all_racks_all_base_points(self, fleet):
-        """On a full rack the nine properties are theorems, whatever e, o."""
-        for name, s in fleet:
-            if s.kind != rw.RACK or s.n > 8:
-                continue
+        """On a full rack the nine properties, both Euler clauses, the
+        hyperbolic factorization and the exp homomorphism are theorems,
+        whatever e, o: checked on the fleet and on every labeled rack with
+        n <= 4 from the census (1,950 (e, o) contexts)."""
+        racks = [(name, s) for name, s in fleet
+                 if s.kind == rw.RACK and s.n <= 8]
+        for n in range(1, 5):
+            found = rw.enumerate_racks(n, keep=True).structures
+            racks += [(f"rack{n}.{i}", s) for i, s in enumerate(found)]
+        assert sum(s.n ** 2 for _, s in racks[-130:]) == 1950
+        for name, s in racks:
             for e in range(s.n):
+                assert rw.check_exp_homomorphism(s, e).passed, (name, e)
+                assert rw.check_hyperbolic_factorization(
+                    rw.make_trig_context(s, e, 0)), (name, e)
                 for o in range(s.n):
-                    rep = rw.check_trig_properties(
-                        rw.make_trig_context(s, e, o))
-                    assert rep.passed, (name, e, o)
+                    ctx = rw.make_trig_context(s, e, o)
+                    assert rw.check_trig_properties(ctx).passed, (name, e, o)
+                    assert rw.check_euler_formula(ctx).passed, (name, e, o)
 
     def test_cos_sin_mutually_inverse_on_racks(self, fleet):
         for name, s in fleet:
@@ -199,19 +209,39 @@ def hom_failures(f, t):
             if f[t[x][y]] != t[f[x]][f[y]]]
 
 
+def trig_failures(dot, diamond, e, o):
+    """Every property's witnesses, in report order, by plain loops over
+    nested lists: (pi, value) for the base-point identities, (x, y) for
+    the homomorphisms and (x,) for the pointwise laws."""
+    n = len(dot)
+    cos, sin = dot[e], [row[e] for row in diamond]
+    pi = dot[e][o]
+    u = dot[e][pi]
+    return [
+        (trig.P_COS_PI, [] if cos[pi] == u else [(pi, cos[pi])]),
+        (trig.P_SIN_PI, [] if sin[pi] == o else [(pi, sin[pi])]),
+        (trig.P_COS_DOT, hom_failures(cos, dot)),
+        (trig.P_COS_DIAMOND, hom_failures(cos, diamond)),
+        (trig.P_SIN_DOT, hom_failures(sin, dot)),
+        (trig.P_SIN_DIAMOND, hom_failures(sin, diamond)),
+        (trig.P_SIN_COS, [(x,) for x in range(n) if sin[cos[x]] != x]),
+        (trig.P_COS_SIN, [(x,) for x in range(n) if cos[sin[x]] != x]),
+        (trig.P_EXCHANGE,
+         [(x,) for x in range(n) if sin[cos[x]] != cos[sin[x]]]),
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(table_pairs())
 def test_homomorphism_witnesses_match_double_loop(s):
     n, dot, diamond = s.n, s.dot.tolist(), s.diamond.tolist()
     for e in range(n):
-        ctx = rw.make_trig_context(s, e, 0)
         cos, sin = dot[e], [row[e] for row in diamond]
-        rep = rw.check_trig_properties(ctx)
-        for name, f, t in ((trig.P_COS_DOT, cos, dot),
-                           (trig.P_COS_DIAMOND, cos, diamond),
-                           (trig.P_SIN_DOT, sin, dot),
-                           (trig.P_SIN_DIAMOND, sin, diamond)):
-            assert list(rep[name].witnesses) == hom_failures(f, t), (e, name)
+        for o in range(n):
+            rep = rw.check_trig_properties(rw.make_trig_context(s, e, o),
+                                           max_witnesses=n * n)
+            assert [(p.name, list(p.witnesses)) for p in rep.properties] == (
+                trig_failures(dot, diamond, e, o)), (e, o)
         for f in (cos, sin):
             morphism = rw.check_morphism(f, s, s)
             assert [w for _, w in morphism.failures] == (
@@ -227,3 +257,46 @@ def test_homomorphism_witnesses_match_double_loop(s):
         assert [w for _, w in exp_hom.failures] == expected, e
         assert [w for _, w in rw.check_exp_homomorphism(s, e).failures] == (
             expected[:WITNESS_CAP]), e
+
+
+# property of s -> property of dual_rack(s) at the same e, and whether the
+# dual's witnesses are the transposed ones: the dual has cos' = sin and
+# sin' = cos, with the operands of both operations swapped
+DUAL_PROPERTIES = (
+    (trig.P_SIN_DOT, trig.P_COS_DIAMOND, True),
+    (trig.P_COS_DIAMOND, trig.P_SIN_DOT, True),
+    (trig.P_SIN_DIAMOND, trig.P_COS_DOT, True),
+    (trig.P_COS_DOT, trig.P_SIN_DIAMOND, True),
+    (trig.P_SIN_COS, trig.P_COS_SIN, False),
+    (trig.P_COS_SIN, trig.P_SIN_COS, False),
+    (trig.P_EXCHANGE, trig.P_EXCHANGE, False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_pairs())
+def test_carrier_wide_properties_swap_under_duality(s):
+    dual = rw.dual_rack(s)
+    n = s.n
+    for e in range(n):
+        rep, rep_dual = (
+            rw.check_trig_properties(rw.make_trig_context(t, e, 0),
+                                     max_witnesses=n * n)
+            for t in (s, dual))
+        for name, dual_name, transposed in DUAL_PROPERTIES:
+            wits = rep[name].witnesses
+            if transposed:
+                wits = tuple(sorted(w[::-1] for w in wits))
+            assert wits == rep_dual[dual_name].witnesses, (e, name)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda rep: rep["sin(pi) = u"], KeyError, "'sin(pi) = u'",
+                 id="unknown-property"),
+])
+def test_guards(call, error, message):
+    rep = rw.check_trig_properties(
+        rw.make_trig_context(rw.trivial_rack(2), 0, 1))
+    with pytest.raises(error) as exc:
+        call(rep)
+    assert str(exc.value) == message

@@ -338,3 +338,13 @@ def test_only_two_input_coordinates_gather_a_table(conj_s3, monkeypatch):
         # exp_e, cosh, sinh: each coordinate reads one input
         for f in (rw.exp_map(conj_s3, 1), rw.cosh_map(ctx), rw.sinh_map(ctx)):
             assert gathers(f) == (0, lifts)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda f: rw.check_mixed(f, f, 13), rw.IndexOutOfRange,
+                 "partner_position must be 12 or 23", id="mixed-position"),
+])
+def test_guards(call, error, message):
+    with pytest.raises(error) as exc:
+        call(swap_pair_map(2))
+    assert str(exc.value) == message
