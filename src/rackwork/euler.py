@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .structures import WEAK_RACK, WITNESS_CAP, AxiomReport, Structure, _hom
-from .tables import _by_value, _freeze, _grids, _narrow, _scan
-from .trig import TrigContext
+from .structures import WEAK_RACK, WITNESS_CAP, AxiomReport, Structure
+from .tables import _by_value, _freeze, _grids, _scan
+from .trig import P_COS_DOT, P_SIN_DIAMOND, TrigContext, _trig_laws
 
 # clause identifiers for check_euler_formula
 EULER_FORMULA = "exp_e(x,x) = (cos x, sin x)"
@@ -122,16 +122,15 @@ def check_exp_homomorphism(s: Structure, a: int,
     """
     if not 0 <= a < s.n:
         raise IndexOutOfRange(f"{a} outside carrier {s.n}")
-    d, e = _narrow(s.dot.entries), _narrow(s.diamond.entries)
-    ea = s.dot.entries[a]          # x -> a.x
-    sa = s.diamond.entries[:, a]   # y -> y<>a
     name = "exp_a((x,y)(u,v)) = exp_a(x,y) exp_a(u,v)"
 
-    # bad1[x, u]: a.(xu) vs (a.x)(a.u); bad2[y, v]: (v<>y)<>a vs
-    # (v<>a)<>(y<>a), the diamond law of sa at (v, y)
+    # bad1[x, u]: a.(xu) vs (a.x)(a.u), cos(xu) = cos(x)cos(u) at b = a;
+    # bad2[y, v]: (v<>y)<>a vs (v<>a)<>(y<>a), the sin-diamond law at (v, y)
+    laws = {p: law for p, _, law in _trig_laws(s.dot.entries,
+                                               s.diamond.entries)}
     grids = _grids(s.n, 2)
-    bad1 = _hom(ea, d, d)(*grids)
-    bad2 = _hom(sa, e, e)(*grids).T
+    bad1 = laws[P_COS_DOT](a, *grids)
+    bad2 = laws[P_SIN_DIAMOND](a, *grids).T
 
     # (x, y) fails somewhere iff row x of bad1 or row y of bad2 does; walk
     # those pairs in lex order and list their failing (u, v) in lex order

@@ -7,6 +7,7 @@ canonically written file and re-serializing it reproduces the bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -35,15 +36,9 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidFile(message)
 
 
-def _is_int(v) -> bool:
-    """JSON true/false load as bool, a subclass of int; they are not
-    integers here."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _carrier(doc: dict, path: str) -> int:
     n = doc.get("n")
-    _require(_is_int(n) and n >= 1, f"{path}: n must be a positive integer")
+    _require(type(n) is int and n >= 1, f"{path}: n must be a positive integer")
     return _capped(n, f"n of {path}")
 
 
@@ -57,15 +52,21 @@ def _read_json(path: str) -> dict:
     return doc
 
 
+def _indices(values: list, n: int) -> bool:
+    """Whether a non-empty list holds only ints in [0, n-1]; JSON true and
+    false load as bool, a subclass of int, and are not indices here."""
+    return (set(map(type, values)) == {int}
+            and min(values) >= 0 and max(values) < n)
+
+
 def _check_matrix(mat, n: int, what: str) -> None:
     _require(isinstance(mat, list) and len(mat) == n,
              f"{what} must be a list of {n} rows")
     for row in mat:
         _require(isinstance(row, list) and len(row) == n,
                  f"{what} rows must have length {n}")
-        for v in row:
-            _require(_is_int(v) and 0 <= v < n,
-                     f"{what} entries must be integers in [0, {n - 1}]")
+        _require(_indices(row, n),
+                 f"{what} entries must be integers in [0, {n - 1}]")
 
 
 def _check_labels(labels, n: int) -> None:
@@ -166,8 +167,7 @@ def load_pair_map(path: str) -> PairMap:
     out = doc.get("out")
     _require(isinstance(out, list) and len(out) == n * n,
              f"{path}: out must list {n * n} pairs")
-    for pair in out:
-        _require(isinstance(pair, list) and len(pair) == 2
-                 and all(_is_int(v) and 0 <= v < n for v in pair),
-                 f"{path}: out entries must be pairs of indices in [0, {n - 1}]")
+    _require(set(map(type, out)) == {list} and set(map(len, out)) == {2}
+             and _indices(list(itertools.chain.from_iterable(out)), n),
+             f"{path}: out entries must be pairs of indices in [0, {n - 1}]")
     return PairMap(n, out)

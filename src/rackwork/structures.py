@@ -118,6 +118,11 @@ def _cancellation(d, e):
             (AX_CANCEL_IN, 2, lambda a, b: _at(d, a, _at(e, b, a)) != b))
 
 
+def _compat(d, e):
+    """(ab)<>a = a(b<>a), which weak racks keep in place of cancellation."""
+    return lambda a, b: _at(e, _at(d, a, b), a) != _at(d, a, _at(e, b, a))
+
+
 def _rack_laws(d, e):
     """The four rack axioms as (name, arity, law) on a dot table d and a
     diamond table e, or on stacks of them (see tables._holds)."""
@@ -131,8 +136,7 @@ def _weak_rack_laws(d, e):
     """The three weak-rack axioms, as _rack_laws gives the rack axioms."""
     d, e = _narrow(d), _narrow(e)
     return ((AX_LEFT_DISTRIB, 3, _left_distrib(d)),
-            (AX_WEAK_COMPAT, 2,
-             lambda a, b: _at(e, _at(d, a, b), a) != _at(d, a, _at(e, b, a))),
+            (AX_WEAK_COMPAT, 2, _compat(d, e)),
             (AX_RIGHT_DISTRIB, 3, _right_distrib(e)))
 
 

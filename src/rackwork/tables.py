@@ -95,25 +95,25 @@ def _at(t: np.ndarray, i, j) -> np.ndarray:
     return t.ravel().take(i * len(t) + j)
 
 
-def _scan(law, n: int, k: int, cap: int) -> list[tuple[int, ...]]:
+def _scan(law, n: int, k: int, cap: int, heads=None) -> list[tuple[int, ...]]:
     """The first `cap` failures, in lexicographic order, of a law over all
-    k-tuples of carrier elements.
+    k-tuples of carrier elements, or over those whose first is in `heads`.
 
     `law` takes k broadcastable index grids, one axis per variable, and
-    returns the failure mask.  Up to _SLAB_CELLS instances it is called once
-    over the whole domain; above that the first variable is passed as a
-    plain int, one value at a time, and the law returns a mask over the
-    other k-1 axes.  A subterm over the trailing variables in axis order is
-    the table itself: write d[a, d], not d[a, d[b, c]], so that it is not
-    gathered again for every first value.  Laws gather with _at from tables
-    passed through _narrow; under the walk a column gathered against a row
-    takes _at's outer form, so no per-value n x n index is built.
+    returns the failure mask.  With no `heads` and up to _SLAB_CELLS
+    instances it is called once over the whole domain; else the first
+    variable is passed as a plain int, one value at a time, and the law
+    returns a mask over the other k-1 axes.  A subterm over the trailing
+    variables in axis order is the table itself: write d[a, d], not
+    d[a, d[b, c]], so that it is not gathered again for every first value.
+    Laws gather with _at from tables passed through _narrow; under the walk
+    a column against a row takes _at's outer form, with no n x n index.
     """
-    if n ** k <= _SLAB_CELLS:
+    if heads is None and n ** k <= _SLAB_CELLS:
         chunks = [((), law(*_grids(n, k)))]
     else:
         rest = _grids(n, k - 1)
-        chunks = (((a,), law(a, *rest)) for a in range(n))
+        chunks = (((a,), law(a, *rest)) for a in heads or range(n))
     found: list[tuple[int, ...]] = []
     for head, bad in chunks:
         if not bad.any():

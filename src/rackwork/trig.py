@@ -1,11 +1,17 @@
 """Trigonometric maps on a structure with a chosen base pair.
 
 Given elements e and o of a structure, set pi = e.o and u = e.pi, and define
-cos x = e.x (left translation by e) and sin x = x<>e.  On a full rack, cos
-and sin are mutually inverse carrier bijections and homomorphisms for both
-operations; on weak racks only the exchange law sin(cos x) = cos(sin x) is
-guaranteed, so the cancellation-dependent properties are still evaluated but
-reported in a separate full-rack-only section.
+cos x = e.x (left translation by e) and sin x = x<>e.  Five of the seven
+carrier-wide properties are axioms with a = e: cos(xy) = cos(x)cos(y) is
+a(bc) = (ab)(ac), sin(cos x) = x and cos(sin x) = x are the cancellation
+laws, the exchange law sin(cos x) = cos(sin x) is the weak-rack law
+(ab)<>a = a(b<>a), and sin(x<>y) = sin(x)<>sin(y) is right
+self-distributivity; _trig_laws lists all seven.  On a full rack, cos and
+sin are mutually inverse carrier bijections and homomorphisms for both
+operations; on weak racks only the exchange law is guaranteed.  The
+rack-only trio is exactly the cancellation laws at e (sin(pi) = o is
+sin(cos x) = x at x = o): still evaluated, but reported in a separate
+full-rack-only section.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ import numpy as np
 
 from .errors import IndexOutOfRange, KindMismatch
 from .structures import (
-    RACK, WEAK_RACK, WITNESS_CAP, Structure, _from_arrays, _hom,
+    RACK, WEAK_RACK, WITNESS_CAP, Structure, _cancellation, _compat,
+    _from_arrays, _left_distrib,
 )
-from .tables import _narrow, _scan
+from .tables import _at, _narrow, _scan
 
 # property identifiers, used verbatim in reports
 P_COS_PI = "cos(pi) = u"
@@ -31,13 +38,28 @@ P_SIN_COS = "sin(cos(x)) = x"
 P_COS_SIN = "cos(sin(x)) = x"
 P_EXCHANGE = "sin(cos(x)) = cos(sin(x))"
 
-ALL_PROPERTIES = (
-    P_COS_PI, P_SIN_PI, P_COS_DOT, P_COS_DIAMOND, P_SIN_DOT, P_SIN_DIAMOND,
-    P_SIN_COS, P_COS_SIN, P_EXCHANGE,
-)
-
 # these need the cancellation axioms; on weak racks they are informational
 RACK_ONLY_PROPERTIES = frozenset({P_SIN_PI, P_SIN_COS, P_COS_SIN})
+
+
+def _trig_laws(d, e):
+    """The carrier-wide properties as _rack_laws gives the rack axioms,
+    over (b, x[, y]) with b the base point: cos x = b.x, sin x = x<>b."""
+    d, e = _narrow(d), _narrow(e)
+    (_, _, sin_cos), (_, _, cos_sin) = _cancellation(d, e)
+    return (
+        (P_COS_DOT, 3, _left_distrib(d)),
+        (P_COS_DIAMOND, 3, lambda b, x, y:
+         _at(d, b, e) != _at(e, _at(d, b, x), _at(d, b, y))),
+        (P_SIN_DOT, 3, lambda b, x, y:
+         _at(e, d, b) != _at(d, _at(e, x, b), _at(e, y, b))),
+        # (c<>b)<>a = (c<>a)<>(b<>a) at (a, b, c) = (b, y, x)
+        (P_SIN_DIAMOND, 3, lambda b, x, y:
+         _at(e, e, b) != _at(e, _at(e, x, b), _at(e, y, b))),
+        (P_SIN_COS, 2, sin_cos),
+        (P_COS_SIN, 2, cos_sin),
+        (P_EXCHANGE, 2, _compat(d, e)),
+    )
 
 
 @dataclass(frozen=True)
@@ -122,39 +144,22 @@ class TrigReport:
 
 def check_trig_properties(ctx: TrigContext,
                           max_witnesses: int = WITNESS_CAP) -> TrigReport:
-    """Evaluate all nine properties exhaustively (pointwise laws over the
-    carrier, homomorphism laws over all pairs)."""
+    """Evaluate all nine properties: the two base-point identities, with
+    (pi, actual value) as the witness, then the laws of _trig_laws at
+    b = e, exhaustively over the carrier or its pairs."""
     s = ctx.s
-    n = s.n
-    cos = s.dot.entries[ctx.e]            # cos[x] = e.x
-    sin = s.diamond.entries[:, ctx.e]     # sin[x] = x<>e
-    d, e = _narrow(s.dot.entries), _narrow(s.diamond.entries)
+    cos_pi = int(s.dot.entries[ctx.e, ctx.pi])
+    sin_pi = int(s.diamond.entries[ctx.pi, ctx.e])
+    found = [(P_COS_PI, [] if cos_pi == ctx.u else [(ctx.pi, cos_pi)]),
+             (P_SIN_PI, [] if sin_pi == ctx.o else [(ctx.pi, sin_pi)])]
+    for name, k, law in _trig_laws(s.dot.entries, s.diamond.entries):
+        wits = _scan(law, s.n, k, max_witnesses, heads=(ctx.e,))
+        found.append((name, [w[1:] for w in wits]))
     weak = s.kind == WEAK_RACK
-
-    checks: list[PropertyCheck] = []
-
-    def add(name, wits):
-        checks.append(PropertyCheck(
-            name=name,
-            passed=not wits,
-            witnesses=tuple(wits),
-            rack_only=weak and name in RACK_ONLY_PROPERTIES,
-        ))
-
-    # for the two base-point identities the witness is (pi, actual value)
-    add(P_COS_PI,
-        [] if cos[ctx.pi] == ctx.u else [(ctx.pi, int(cos[ctx.pi]))])
-    add(P_SIN_PI,
-        [] if sin[ctx.pi] == ctx.o else [(ctx.pi, int(sin[ctx.pi]))])
-    for name, f, t in ((P_COS_DOT, cos, d), (P_COS_DIAMOND, cos, e),
-                       (P_SIN_DOT, sin, d), (P_SIN_DIAMOND, sin, e)):
-        add(name, _scan(_hom(f, t, t), n, 2, max_witnesses))
-    add(P_SIN_COS, _scan(lambda x: sin[cos[x]] != x, n, 1, max_witnesses))
-    add(P_COS_SIN, _scan(lambda x: cos[sin[x]] != x, n, 1, max_witnesses))
-    add(P_EXCHANGE, _scan(lambda x: sin[cos[x]] != cos[sin[x]],
-                          n, 1, max_witnesses))
-
-    return TrigReport(properties=tuple(checks))
+    return TrigReport(tuple(
+        PropertyCheck(name, not wits, tuple(wits),
+                      weak and name in RACK_ONLY_PROPERTIES)
+        for name, wits in found))
 
 
 def trig_derived_rack(ctx: TrigContext) -> Structure:
@@ -166,8 +171,6 @@ def trig_derived_rack(ctx: TrigContext) -> Structure:
             f"{ctx.s.kind!r}"
         )
     n = ctx.s.n
-    cos = ctx.s.dot.entries[ctx.e]
-    sin = ctx.s.diamond.entries[:, ctx.e]
-    dot = np.tile(cos, (n, 1))                    # row a is cos, ignores a
-    diamond = np.repeat(sin, n).reshape(n, n)     # column b is sin, ignores b
+    dot = np.tile(cos_table(ctx), (n, 1))         # row a is cos, ignores a
+    diamond = np.repeat(sin_table(ctx), n).reshape(n, n)  # column b is sin
     return _from_arrays(dot, diamond, RACK)

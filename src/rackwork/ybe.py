@@ -101,12 +101,11 @@ def _run_word(word, state):
     return state
 
 
-def _equation_report(name, lhs_word, rhs_word, n, max_witnesses):
+def _equation_report(name, word, n, max_witnesses):
+    """The equation word = word reversed, over all n^3 starting triples."""
     def law(*start):
-        a = _run_word(lhs_word, start)
-        b = _run_word(rhs_word, start)
         bad = np.False_
-        for p, q in zip(a, b):
+        for p, q in zip(_run_word(word, start), _run_word(word[::-1], start)):
             # one object on both sides: a coordinate both words leave alone
             if p is not q:
                 bad = bad | (p != q)
@@ -118,9 +117,8 @@ def _equation_report(name, lhs_word, rhs_word, n, max_witnesses):
 def check_qybe(f: PairMap, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustive quantum Yang-Baxter check over all n^3 starting triples."""
     c = _components(f)
-    word_l = [(c, 12), (c, 13), (c, 23)]
-    word_r = [(c, 23), (c, 13), (c, 12)]
-    return _equation_report(EQ_QYBE, word_l, word_r, f.n, max_witnesses)
+    return _equation_report(EQ_QYBE, [(c, 12), (c, 13), (c, 23)], f.n,
+                            max_witnesses)
 
 
 def w_map(s: Structure) -> PairMap:
@@ -144,16 +142,11 @@ def check_mixed(a: PairMap, b: PairMap, partner_position: int = 12,
         raise CarrierMismatch(f"carriers differ: {a.n} vs {b.n}")
     if partner_position not in (12, 23):
         raise IndexOutOfRange("partner_position must be 12 or 23")
-    ca, cb = _components(a), _components(b)
-    if partner_position == 12:
-        name = EQ_MIXED_LOW
-        word_l = [(ca, 23), (ca, 13), (cb, 12)]
-        word_r = [(cb, 12), (ca, 13), (ca, 23)]
-    else:
-        name = EQ_MIXED_HIGH
-        word_l = [(ca, 12), (ca, 13), (cb, 23)]
-        word_r = [(cb, 23), (ca, 13), (ca, 12)]
-    return _equation_report(name, word_l, word_r, a.n, max_witnesses)
+    name, outer = ((EQ_MIXED_LOW, 23) if partner_position == 12
+                   else (EQ_MIXED_HIGH, 12))
+    ca = _components(a)
+    word = [(ca, outer), (ca, 13), (_components(b), partner_position)]
+    return _equation_report(name, word, a.n, max_witnesses)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import trig
-from rackwork.structures import WITNESS_CAP
+from rackwork import tables, trig
+from rackwork.structures import AX_RIGHT_DISTRIB, WITNESS_CAP, _rack_laws
 
 
 class TestContext:
@@ -288,6 +289,62 @@ def test_carrier_wide_properties_swap_under_duality(s):
             if transposed:
                 wits = tuple(sorted(w[::-1] for w in wits))
             assert wits == rep_dual[dual_name].witnesses, (e, name)
+
+
+def atlas_structures():
+    """Every rack on 3 points, every weak rack on 2, the first 100 weak
+    racks on 3 and 42 random table pairs on 1 to 6 points."""
+    found = (rw.enumerate_racks(3, keep=True).structures
+             + rw.enumerate_weak_racks(2, keep=True).structures
+             + rw.enumerate_weak_racks(3, keep=True).structures[:100])
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        for _ in range(7):
+            dot, diamond = (rw.OpTable(n, rng.integers(0, n, (n, n)))
+                            for _ in range(2))
+            found.append(rw.Structure(n, dot, diamond, rw.UNCHECKED))
+    return found
+
+
+def law_named(laws, wanted):
+    return next(law for name, _, law in laws if name == wanted)
+
+
+@pytest.mark.parametrize("slab", [tables._SLAB_CELLS, 1])
+def test_trig_laws_with_a_free_base_point(monkeypatch, slab):
+    """Scanned with the base point b as a variable, as an atlas over base
+    points scans them, the laws of _trig_laws fail exactly where
+    check_trig_properties reports failures at e = b, with b prepended;
+    sin-diamond is right self-distributivity with its last two variables
+    swapped; and _holds on a stack agrees with each structure's scans."""
+    monkeypatch.setattr(tables, "_SLAB_CELLS", slab)
+    structures = atlas_structures()
+    for s in structures:
+        n = s.n
+        reports = [rw.check_trig_properties(rw.make_trig_context(s, b, 0),
+                                            max_witnesses=n * n)
+                   for b in range(n)]
+        laws = trig._trig_laws(s.dot.entries, s.diamond.entries)
+        for name, k, law in laws:
+            pinned = [(b,) + w for b, rep in enumerate(reports)
+                      for w in rep[name].witnesses]
+            assert tables._scan(law, n, k, n ** k) == pinned, (s, name)
+        right = law_named(_rack_laws(s.dot.entries, s.diamond.entries),
+                          AX_RIGHT_DISTRIB)
+        assert sorted((a, c, b) for a, b, c in tables._scan(
+            right, n, 3, n ** 3)) == tables._scan(
+                law_named(laws, trig.P_SIN_DIAMOND), n, 3, n ** 3)
+
+    for n in range(1, 7):
+        stack = [s for s in structures if s.n == n]
+        dots = np.stack([s.dot.entries for s in stack])
+        diamonds = np.stack([s.diamond.entries for s in stack])
+        for name, k, law in trig._trig_laws(dots, diamonds):
+            expected = [not tables._scan(law_named(trig._trig_laws(
+                s.dot.entries, s.diamond.entries), name), n, k, 1)
+                for s in stack]
+            assert tables._holds([(name, k, law)], n, len(stack)).tolist() == (
+                expected), (n, name)
 
 
 @pytest.mark.parametrize("call, error, message", [
