@@ -2,11 +2,12 @@
 
 The searches build stacks of candidate tables, shape (m, n, n).  Rack dot
 tables have permutation rows (the cancellation axioms force that) and the
-diamond is derived from the dot; weak-rack candidates are the left (dot)
-and right (diamond) self-distributive tables, paired by the compatibility
-law.  Every candidate is then re-verified, a block at a time, through the
-laws the axiom checkers scan (structures._rack_laws, tables._holds): the
-pruning and the checker stay independent code paths.
+diamond is derived from the dot as derive_diamond does; weak-rack
+candidates are the left (dot) and right (diamond) self-distributive
+tables, paired by the checkers' compatibility law.  Every candidate is
+re-verified through the checkers' law lists and tables._holds, so the
+census states no law itself: the independent evidence is the unpruned
+oracles in the tests.
 
 Counts are labeled: racks on 1..4 points number 1, 2, 13, 114, weak racks
 on 1..3 points 1, 45, 13352.  The published reference sequence is the
@@ -22,14 +23,16 @@ import numpy as np
 
 from .errors import CarrierTooLarge
 from .structures import (
+    AX_WEAK_COMPAT,
     RACK,
     WEAK_RACK,
     Structure,
+    _compat,
     _rack_laws,
     _weak_rack_laws,
     max_carrier,
 )
-from .tables import _SLAB_CELLS, OpTable, _holds
+from .tables import _SLAB_CELLS, OpTable, _holds, _invert_rows, _narrow
 
 RACK_ENUM_CAP = 4
 WEAK_ENUM_CAP = 3
@@ -49,7 +52,9 @@ class EnumResult:
 def _blocks(m: int, cells: int):
     """Slices of range(m), at least one item each, for stacks of items that
     cost `cells` gathered cells apiece: at most _SLAB_CELLS // 8 cells, so
-    that a block's int64 gather indices take at most _SLAB_CELLS bytes."""
+    that a block's int64 gather indices take at most _SLAB_CELLS bytes.
+    Both census passes keep to it: the pair filter costs n^2 cells per
+    pair, the re-verification n^3 per candidate."""
     step = max(1, _SLAB_CELLS // 8 // cells)
     return (slice(i, i + step) for i in range(0, m, step))
 
@@ -81,20 +86,25 @@ def _canonical_keys(*stacks: np.ndarray) -> np.ndarray:
     return best
 
 
-def _census(n: int, kind: str, blocks, keep: bool) -> EnumResult:
-    """Count, classify and, if kept, build the verified (dot, diamond)
-    stacks that `blocks` yields; racks are keyed by the dot table alone,
-    which determines the diamond."""
+def _census(n: int, kind: str, laws, candidates, keep: bool) -> EnumResult:
+    """Count, classify and, if kept, build the (dot, diamond) pairs of the
+    candidate stacks that `candidates` yields which pass every law of
+    laws(dot, diamond), evaluated by _holds in blocks of n^3 cells apiece;
+    racks are keyed by the dot table alone, which determines the diamond."""
     count = 0
     iso: set[bytes] = set()
     structures = [] if keep else None
-    for dots, diamonds in blocks:
-        count += len(dots)
-        tables = (dots,) if kind == RACK else (dots, diamonds)
-        iso.update(map(bytes, _canonical_keys(*tables)))
-        if keep:
-            structures += [Structure(n, OpTable(n, d), OpTable(n, e), kind)
-                           for d, e in zip(dots, diamonds)]
+    for dots, diamonds in candidates:
+        for blk in _blocks(len(dots), n ** 3):
+            d, e = dots[blk], diamonds[blk]
+            ok = _holds(laws(d, e), n, len(d))
+            d, e = d[ok], e[ok]
+            count += len(d)
+            keyed = (d,) if kind == RACK else (d, e)
+            iso.update(map(bytes, _canonical_keys(*keyed)))
+            if keep:
+                structures += [Structure(n, OpTable(n, x), OpTable(n, y), kind)
+                               for x, y in zip(d, e)]
     return EnumResult(n=n, count=count, iso_count=len(iso),
                       structures=structures)
 
@@ -156,17 +166,8 @@ def enumerate_racks(n: int, keep: bool = False) -> EnumResult:
     cap = max_carrier(RACK_ENUM_CAP)
     if not 1 <= n <= cap:
         raise CarrierTooLarge(f"rack enumeration supports 1 <= n <= {cap}")
-
-    def verified():
-        dots = _left_distributive_tables(n, permutation_rows=True)
-        # b <> a is the y with a . y = b: invert each row, then transpose
-        diamonds = np.argsort(dots, axis=2).astype(dots.dtype).swapaxes(1, 2)
-        for blk in _blocks(len(dots), n ** 3):
-            d, e = dots[blk], diamonds[blk]
-            ok = _holds(_rack_laws(d, e), n, len(d))
-            yield d[ok], e[ok]
-
-    return _census(n, RACK, verified(), keep)
+    dots = _left_distributive_tables(n, permutation_rows=True)
+    return _census(n, RACK, _rack_laws, [(dots, _invert_rows(dots))], keep)
 
 
 def enumerate_weak_racks(n: int, keep: bool = False) -> EnumResult:
@@ -181,24 +182,18 @@ def enumerate_weak_racks(n: int, keep: bool = False) -> EnumResult:
     cap = max_carrier(WEAK_ENUM_CAP)
     if not 1 <= n <= cap:
         raise CarrierTooLarge(f"weak-rack enumeration supports 1 <= n <= {cap}")
+    dots = _left_distributive_tables(n)
+    # the transposes are the right self-distributive tables
+    flat = dots.swapaxes(1, 2).reshape(len(dots), -1)
+    diamonds = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)
 
-    def verified():
-        dots = _left_distributive_tables(n)
-        # the transposes are the right self-distributive tables
-        flat = dots.swapaxes(1, 2).reshape(len(dots), -1)
-        diamonds = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)
-        rows = np.arange(len(diamonds))[:, None, None]
-        x = np.arange(n)[:, None]
-        # a block's pairs are checked on all n^3 triples below
-        for blk in _blocks(len(dots), len(diamonds) * n ** 3):
-            d = dots[blk]
-            # (ab)<>a = a(b<>a) on every (dot, diamond) pair of the block
-            lhs = diamonds[rows, d[:, None], x]
-            rhs = d[np.arange(len(d))[:, None, None, None], x,
-                    diamonds.swapaxes(1, 2)]
-            i, j = np.nonzero((lhs == rhs).all(axis=(2, 3)))
-            d, e = d[i], diamonds[j]
-            ok = _holds(_weak_rack_laws(d, e), n, len(d))
+    def compatible():
+        # every pair of a block of dots with every diamond, dot-major
+        for blk in _blocks(len(dots), len(diamonds) * n ** 2):
+            d = np.repeat(dots[blk], len(diamonds), axis=0)
+            e = np.tile(diamonds, (len(dots[blk]), 1, 1))
+            law = _compat(_narrow(d), _narrow(e))
+            ok = _holds([(AX_WEAK_COMPAT, 2, law)], n, len(d))
             yield d[ok], e[ok]
 
-    return _census(n, WEAK_RACK, verified(), keep)
+    return _census(n, WEAK_RACK, _weak_rack_laws, compatible(), keep)

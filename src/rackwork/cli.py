@@ -172,8 +172,16 @@ def cmd_check(args) -> int:
 
 def _context_from_args(args):
     """The trig context of the structure file, and the command's report
-    headed by the kind and the base points e, o, pi, u."""
+    headed by the kind and the base points e, o, pi, u.  A file tagged
+    rack must pass the cancellation laws (O(n^2)) to be reported as one;
+    else it is unusable input."""
     loaded = fileio.load_structure(args.file)
+    if loaded.structure.kind == structures.RACK:
+        cancel = structures._cancellation_report(loaded.structure)
+        if not cancel.passed:
+            axiom, wit = cancel.failures[0]
+            raise InvalidFile(
+                f"{args.file}: claimed rack violates {axiom!r} at {wit}")
     ctx = trig.make_trig_context(loaded.structure, args.e, args.o)
     report = Report(args.command, args.json, args.all_witnesses, loaded.labels)
     report.set("kind", ctx.s.kind)

@@ -159,6 +159,12 @@ def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> Ax
     return _report(laws, s.n, max_witnesses)
 
 
+def _cancellation_report(s: Structure) -> AxiomReport:
+    """The first failure, if any, of each cancellation law on s: O(n^2)."""
+    laws = _cancellation(_narrow(s.dot.entries), _narrow(s.diamond.entries))
+    return _report(laws, s.n, 1)
+
+
 def classify(s: Structure) -> tuple[str, AxiomReport]:
     """The strongest kind s satisfies (RACK, WEAK_RACK or "neither") and
     its weak-rack report.
@@ -170,8 +176,7 @@ def classify(s: Structure) -> tuple[str, AxiomReport]:
     weak = check_weak_rack_axioms(s)
     if not weak.passed:
         return "neither", weak
-    laws = _cancellation(_narrow(s.dot.entries), _narrow(s.diamond.entries))
-    cancel = _report(laws, s.n, 1)
+    cancel = _cancellation_report(s)
     return (RACK if cancel.passed else WEAK_RACK), weak
 
 

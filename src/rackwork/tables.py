@@ -195,16 +195,19 @@ def is_left_invertible(t: OpTable) -> bool:
     )
 
 
+def _invert_rows(t: np.ndarray) -> np.ndarray:
+    """b <> a = the y with a . y = b, for a dot table or a stack of them
+    with permutation rows: argsort inverts each row, then transpose."""
+    return np.argsort(t, axis=-1).swapaxes(-1, -2)
+
+
 def derive_diamond(dot: OpTable) -> OpTable:
     """Solve the cancellation laws for the companion operation: b <> a is
     the unique y with a . y = b.  Requires every row of dot to be a
     permutation."""
     if not is_left_invertible(dot):
         raise NotLeftInvertible("some left translation is not a bijection")
-    # argsort inverts each row; inv[a, b] = y with dot[a, y] = b, and the
-    # companion table is indexed (b, a), hence the transpose.
-    inv = np.argsort(dot.entries, axis=1)
-    return OpTable(dot.n, inv.T)
+    return OpTable(dot.n, _invert_rows(dot.entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,20 +232,17 @@ def validate_group(mul: OpTable) -> GroupTable:
     m = mul.entries
     rng = np.arange(n)
 
-    identity = None
-    for e in range(n):
-        if np.array_equal(m[e], rng) and np.array_equal(m[:, e], rng):
-            identity = e
-            break
-    if identity is None:
+    ids = np.flatnonzero((m == rng).all(1) & (m.T == rng).all(1))
+    if not ids.size:
         raise NoIdentity("no two-sided identity element")
+    identity = int(ids[0])
 
-    inv = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        hits = np.flatnonzero(m[a] == identity)
-        if hits.size == 0:
-            raise NoInverse(a)
-        inv[a] = hits[0]
+    # inv[a] is the least b with a b = identity
+    hits = m == identity
+    has = hits.any(1)
+    if not has.all():
+        raise NoInverse(int(np.argmin(has)))
+    inv = hits.argmax(1)
 
     # (a b) c vs a (b c) over the full cube; first witness in lex order.
     t = _narrow(m)

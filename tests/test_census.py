@@ -170,6 +170,25 @@ class TestWeakRackEnumeration:
             assert pairs == sorted(pairs)
             assert {s.kind for s in res.structures} == {rw.WEAK_RACK}
 
+    def test_n3_matches_a_hand_written_pair_filter(self):
+        """Reference: pair every left self-distributive dot with every right
+        self-distributive diamond (the sorted transposes) and keep the pairs
+        with (ab)<>a = a(b<>a), by plain fancy indexing; the three laws are
+        then exactly the weak-rack axioms."""
+        n = 3
+        dots = census._left_distributive_tables(n).astype(np.int64)
+        flat_t = dots.swapaxes(1, 2).reshape(len(dots), -1)
+        diamonds = flat_t[np.lexsort(flat_t.T[::-1])].reshape(-1, n, n)
+        x = np.arange(n)[:, None]
+        pairs = []
+        for d in dots:
+            lhs = diamonds[:, d, x]                    # (ab)<>a at [., a, b]
+            rhs = d[x, diamonds.swapaxes(1, 2)]        # a(b<>a) at [., a, b]
+            for j in np.flatnonzero((lhs == rhs).all(axis=(1, 2))):
+                pairs.append((d.ravel().tolist(), diamonds[j].ravel().tolist()))
+        res = rw.enumerate_weak_racks(n, keep=True)
+        assert [(flat(s.dot), flat(s.diamond)) for s in res.structures] == pairs
+
     def test_every_kept_weak_structure_verifies(self):
         res = rw.enumerate_weak_racks(2, keep=True)
         for s in res.structures:

@@ -276,6 +276,23 @@ class TestTrigEuler:
         assert code == 1  # the identity clause fails on the lattice fixture
         assert "full-rack-only" in text
 
+    @pytest.mark.parametrize("command", ["trig", "euler"])
+    def test_rack_tag_failing_cancellation_is_exit_2(self, tmp_path, capsys,
+                                                     command):
+        # not even a weak rack: (ab)<>a = b fails at (1, 0)
+        doc = {"kind": "rack", "n": 2, "dot": [[0, 1], [0, 0]],
+               "diamond": [[0, 1], [1, 0]]}
+        path = tmp_path / "mistagged.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path), "--e", "0", "--o", "0")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: claimed rack violates "
+                       "'(ab) diamond a = b' at (1, 0)\n")
+        # the same tables tagged weak_rack are reported, not rejected
+        path.write_text(json.dumps(dict(doc, kind="weak_rack")))
+        code, out, _ = run(capsys, command, str(path), "--e", "0", "--o", "0")
+        assert code in (0, 1) and "kind = weak_rack" in out
+
 
 class TestYbeSystem:
     def test_exp_map_passes(self, capsys, conj_file):

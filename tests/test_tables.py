@@ -119,6 +119,66 @@ def test_validate_group_no_inverse():
     assert exc.value.element == 0
 
 
+def test_validate_group_messages():
+    with pytest.raises(rw.NoIdentity) as exc:
+        rw.validate_group(rw.make_op_table(2, [0, 0, 0, 0]))
+    assert str(exc.value) == "no two-sided identity element"
+    # xor on {0, 1}, and max wherever 2 or 3 takes part: identity 0, 1 is
+    # its own inverse, and neither 2 nor 3 has one, so 2 is reported
+    table = [a ^ b if max(a, b) < 2 else max(a, b)
+             for a in range(4) for b in range(4)]
+    with pytest.raises(rw.NoInverse) as exc:
+        rw.validate_group(rw.make_op_table(4, table))
+    assert exc.value.element == 2
+    assert str(exc.value) == "element 2 has no inverse"
+
+
+def _group_parts_by_loops(n, table):
+    """Plain-loop oracle: the two-sided identity and the least right
+    inverse of each element, or the first element that has none."""
+    rows = [table[a * n:a * n + n] for a in range(n)]
+    ids = [e for e in range(n)
+           if all(rows[e][x] == x and rows[x][e] == x for x in range(n))]
+    if not ids:
+        return "no identity"
+    inv = []
+    for a in range(n):
+        if ids[0] not in rows[a]:
+            return ("no inverse", a)
+        inv.append(rows[a].index(ids[0]))
+    return ids[0], inv
+
+
+@st.composite
+def magmas_with_an_identity(draw):
+    """A random table on n <= 5 points, mostly with row and column e set to
+    those of an identity, so that the inverse search is reached."""
+    n = draw(st.integers(1, 5))
+    table = draw(st.lists(st.integers(0, n - 1), min_size=n * n,
+                          max_size=n * n))
+    if draw(st.integers(0, 3)):
+        e = draw(st.integers(0, n - 1))
+        for x in range(n):
+            table[e * n + x] = table[x * n + e] = x
+    return n, table
+
+
+@given(magmas_with_an_identity())
+def test_validate_group_identity_and_inverses_match_loops(case):
+    n, table = case
+    expected = _group_parts_by_loops(n, table)
+    try:
+        g = rw.validate_group(rw.make_op_table(n, table))
+    except rw.NoIdentity:
+        assert expected == "no identity"
+    except rw.NoInverse as exc:
+        assert expected == ("no inverse", exc.element)
+    except rw.NotAssociative:
+        assert expected != "no identity" and expected[0] != "no inverse"
+    else:
+        assert (g.identity, g.inv.tolist()) == expected
+
+
 def test_validate_group_not_associative():
     # the smallest non-associative loop (order 5); first bad triple (1,1,2)
     loop = [
