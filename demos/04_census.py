@@ -4,9 +4,10 @@
 The enumerator searches every dot table whose rows are permutations (the
 cancellation axioms force that), prunes on left self-distributivity while
 rows are being chosen, derives the companion operation, and re-verifies
-every candidate against the full axiom checker - search and checker stay
-independent code paths.  Weak racks drop cancellation, so there the search
-runs over both tables.
+every candidate through the axiom checkers' own law lists, a stack of
+tables at a time.  Weak racks drop cancellation, so there the search runs
+over both tables.  The isomorphism classes are counted by Burnside's lemma
+over the complete labeled census.
 """
 
 import time

@@ -9,14 +9,19 @@ re-verified through the checkers' law lists and tables._holds, so the
 census states no law itself: the independent evidence is the unpruned
 oracles in the tests.
 
-Counts are labeled: racks on 1..4 points number 1, 2, 13, 114, weak racks
-on 1..3 points 1, 45, 13352.  The published reference sequence is the
-isomorphism class count, derived on the side (1, 2, 6, 19 and 1, 26, 2335).
+Counts are labeled: racks on 1..4 points number 1, 2, 13, 114 (1708 on 5
+points, under RACKWORK_MAX_N=5), weak racks on 1..3 points 1, 45, 13352.
+The published reference sequence is the isomorphism class count (1, 2, 6,
+19, 74 and 1, 26, 2335).  A complete census is closed under relabeling,
+so the classes are counted by Burnside's lemma over the labeled census,
+with no canonical form; the tests' lexicographic canonical forms are the
+independent check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,40 +64,31 @@ def _blocks(m: int, cells: int):
     return (slice(i, i + step) for i in range(0, m, step))
 
 
-def _canonical_keys(*stacks: np.ndarray) -> np.ndarray:
-    """Row i is the least relabeling of the tables (stacks[0][i],
-    stacks[1][i], ...), flattened and concatenated, over all carrier
-    permutations: two structures are isomorphic iff their rows are equal.
-
-    One gather per permutation relabels the whole block, and the rows are
-    compared lexicographically entry by entry, so the key stays exact where
-    a packed integer would overflow (n^(2n^2) >= 2^63 from n = 4).
-    """
-    t = np.stack(stacks, axis=1)
-    m, n = len(t), t.shape[-1]
-    rows = np.arange(m)
-    best = None
-    for p in itertools.permutations(range(n)):
+def _fixed(d: np.ndarray, e: np.ndarray) -> int:
+    """The number of (permutation, structure) pairs, over all carrier
+    permutations and the (dot, diamond) stacks d, e, in which relabeling
+    by the permutation leaves the structure unchanged.  One gather per
+    permutation relabels the whole block."""
+    t = np.stack((d, e), axis=1)
+    fixed = 0
+    for p in itertools.permutations(range(t.shape[-1])):
         p = np.array(p, dtype=t.dtype)
         q = np.argsort(p)
         # relabeled[p[a], p[b]] = p[table[a, b]]
-        key = p[t[:, :, q[:, None], q]].reshape(m, len(stacks) * n * n)
-        if best is None:
-            best = key
-            continue
-        first = (key != best).argmax(axis=1)
-        less = key[rows, first] < best[rows, first]
-        best[less] = key[less]
-    return best
+        fixed += int((p[t[:, :, q[:, None], q]] == t).all(axis=(1, 2, 3)).sum())
+    return fixed
 
 
 def _census(n: int, kind: str, laws, candidates, keep: bool) -> EnumResult:
     """Count, classify and, if kept, build the (dot, diamond) pairs of the
     candidate stacks that `candidates` yields which pass every law of
-    laws(dot, diamond), evaluated by _holds in blocks of n^3 cells apiece;
-    racks are keyed by the dot table alone, which determines the diamond."""
-    count = 0
-    iso: set[bytes] = set()
+    laws(dot, diamond), evaluated by _holds in blocks of n^3 cells apiece.
+
+    The pairs found are closed under relabeling, so by Burnside's lemma
+    there are _fixed(all pairs) / n! isomorphism classes.  For racks the
+    dot determines the diamond, so a permutation fixes the pair exactly
+    when it fixes the dot."""
+    count = fixed = 0
     structures = [] if keep else None
     for dots, diamonds in candidates:
         for blk in _blocks(len(dots), n ** 3):
@@ -100,12 +96,11 @@ def _census(n: int, kind: str, laws, candidates, keep: bool) -> EnumResult:
             ok = _holds(laws(d, e), n, len(d))
             d, e = d[ok], e[ok]
             count += len(d)
-            keyed = (d,) if kind == RACK else (d, e)
-            iso.update(map(bytes, _canonical_keys(*keyed)))
+            fixed += _fixed(d, e)
             if keep:
                 structures += [Structure(n, OpTable(n, x), OpTable(n, y), kind)
                                for x, y in zip(d, e)]
-    return EnumResult(n=n, count=count, iso_count=len(iso),
+    return EnumResult(n=n, count=count, iso_count=fixed // math.factorial(n),
                       structures=structures)
 
 

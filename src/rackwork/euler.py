@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, SizeMismatch
 from .structures import WEAK_RACK, WITNESS_CAP, AxiomReport, Structure
-from .tables import _by_value, _freeze, _grids, _scan
+from .tables import _by_value, _grids, _indices, _scan
 from .trig import P_COS_DOT, P_SIN_DIAMOND, TrigContext, _trig_laws
 
 # clause identifiers for check_euler_formula
@@ -32,14 +32,13 @@ class PairMap:
     out: np.ndarray  # shape (n*n, 2), read-only
 
     def __post_init__(self):
-        arr = _freeze(self.out)
+        arr = np.array(self.out, order="C")
         if arr.shape != (self.n * self.n, 2):
             raise IndexOutOfRange(
                 f"pair map needs shape ({self.n * self.n}, 2), got {arr.shape}"
             )
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n):
-            raise IndexOutOfRange("pair map outputs must lie in the carrier")
-        object.__setattr__(self, "out", arr)
+        object.__setattr__(self, "out",
+                           _indices(arr, self.n, "pair map outputs"))
 
     __eq__ = _by_value
 
@@ -122,6 +121,9 @@ def check_exp_homomorphism(s: Structure, a: int,
     """
     if not 0 <= a < s.n:
         raise IndexOutOfRange(f"{a} outside carrier {s.n}")
+    if max_witnesses < 1:
+        raise SizeMismatch(
+            f"max_witnesses must be at least 1, got {max_witnesses}")
     name = "exp_a((x,y)(u,v)) = exp_a(x,y) exp_a(u,v)"
 
     # bad1[x, u]: a.(xu) vs (a.x)(a.u), cos(xu) = cos(x)cos(u) at b = a;

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CarrierTooLarge, IndexOutOfRange, KindMismatch, RackworkError, SizeMismatch,
+    CarrierTooLarge, KindMismatch, RackworkError, SizeMismatch,
 )
 from .tables import (
-    GroupTable, OpTable, _at, _narrow, _scan, derive_diamond, is_left_invertible,
+    GroupTable, OpTable, _at, _indices, _narrow, _scan, derive_diamond,
+    is_left_invertible,
 )
 
 RACK = "rack"
@@ -294,11 +295,10 @@ def check_morphism(f, s1: Structure, s2: Structure,
                    max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Check that f: carrier(s1) -> carrier(s2) respects both operations:
     f(a.b) = f(a).f(b) and f(a<>b) = f(a)<>f(b) over all pairs."""
-    F = np.asarray(list(f), dtype=np.int64)
+    F = np.asarray(list(f))
     if F.shape != (s1.n,):
         raise SizeMismatch(f"map must list {s1.n} images, got shape {F.shape}")
-    if F.size and (F.min() < 0 or F.max() >= s2.n):
-        raise IndexOutOfRange("map image out of range for the target carrier")
+    F = _indices(F, s2.n, "map images")
     laws = (
         ("f(ab) = f(a)f(b)", 2,
          _hom(F, _narrow(s1.dot.entries), _narrow(s2.dot.entries))),

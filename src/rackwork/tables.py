@@ -30,6 +30,21 @@ def _freeze(arr, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _indices(arr, n: int, what: str) -> np.ndarray:
+    """A record's carrier indices, an array the caller made with np.array
+    from its input, as read-only int64 if its entries are integers in
+    [0, n-1].  Signed and unsigned integers are accepted; bool, float, str
+    and object entries (Python ints beyond 64 bits load as object) raise
+    rather than being truncated or parsed."""
+    if arr.size and arr.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"{what} must be integers, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        raise IndexOutOfRange(f"{what} must lie in [0, {n - 1}]")
+    arr.setflags(write=False)
+    return arr
+
+
 def _by_value(self, other) -> bool:
     """Equality of two records of one type, field by field, with array
     fields compared by value; records that define it are unhashable."""
@@ -109,6 +124,8 @@ def _scan(law, n: int, k: int, cap: int, heads=None) -> list[tuple[int, ...]]:
     Laws gather with _at from tables passed through _narrow; under the walk
     a column against a row takes _at's outer form, with no n x n index.
     """
+    if cap < 1:
+        raise SizeMismatch(f"max_witnesses must be at least 1, got {cap}")
     if heads is None and n ** k <= _SLAB_CELLS:
         chunks = [((), law(*_grids(n, k)))]
     else:
@@ -153,16 +170,13 @@ class OpTable:
     def __post_init__(self):
         if self.n < 1:
             raise SizeMismatch(f"carrier size must be positive, got {self.n}")
-        ent = _freeze(self.entries)
+        ent = np.array(self.entries, order="C")
         if ent.shape != (self.n, self.n):
             raise SizeMismatch(
                 f"expected {self.n}x{self.n} table, got shape {ent.shape}"
             )
-        if ent.size and (ent.min() < 0 or ent.max() >= self.n):
-            raise IndexOutOfRange(
-                f"table entries must lie in [0, {self.n - 1}]"
-            )
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "entries",
+                           _indices(ent, self.n, "table entries"))
 
     __eq__ = _by_value
 
@@ -177,7 +191,7 @@ def make_op_table(n: int, entries) -> OpTable:
         raise SizeMismatch(f"carrier size must be positive, got {n}")
     if len(flat) != n * n:
         raise SizeMismatch(f"expected {n * n} entries, got {len(flat)}")
-    return OpTable(n, np.asarray(flat, dtype=np.int64).reshape(n, n))
+    return OpTable(n, np.asarray(flat).reshape(n, n))
 
 
 def apply(t: OpTable, a: int, b: int) -> int:
@@ -220,7 +234,8 @@ class GroupTable:
     inv: np.ndarray  # shape (n,), read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "inv", _freeze(self.inv))
+        object.__setattr__(self, "inv", _indices(np.array(self.inv), self.n,
+                                                 "inverses"))
 
     __eq__ = _by_value
 

@@ -1,6 +1,6 @@
 import functools
 import itertools
-import random
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import rackwork as rw
 from rackwork import census
 from rackwork.structures import _rack_laws, _weak_rack_laws
-from rackwork.tables import _holds
+from rackwork.tables import _holds, _invert_rows
 
 
 def brute_force_rack_dots(n):
@@ -53,7 +53,8 @@ def relabel_flat(table, p, n):
 
 def canonical_form(tables, n):
     """Least relabeling of the flat tables, concatenated, over all carrier
-    permutations: a pure-Python oracle for census._canonical_keys."""
+    permutations: two structures are isomorphic iff their forms are equal.
+    The pure-Python oracle for the census's Burnside class count."""
     return min(tuple(v for t in tables for v in relabel_flat(t, p, n))
                for p in itertools.permutations(range(n)))
 
@@ -86,6 +87,12 @@ class TestRackEnumeration:
     def test_n4_counts(self):
         res = rw.enumerate_racks(4)
         assert (res.count, res.iso_count) == (114, 19)
+
+    def test_n5_counts(self, monkeypatch):
+        # the n = 5 term of OEIS A181771
+        monkeypatch.setenv("RACKWORK_MAX_N", "5")
+        res = rw.enumerate_racks(5)
+        assert (res.count, res.iso_count) == (1708, 74)
 
     def test_matches_unpruned_oracle(self):
         for n in (1, 2, 3):
@@ -225,15 +232,6 @@ class TestCanonicalForms:
                 seen.add((relabel(d, p), relabel(e, p)))
         assert classes == res.iso_count
 
-    def test_constant_racks_collapse(self):
-        # two 3-cycle constant racks on 3 elements are isomorphic
-        a, b = census._canonical_keys(stack([[[1, 2, 0]] * 3, [[2, 0, 1]] * 3], 3))
-        assert a.tolist() == b.tolist()
-
-    def test_keys_of_an_empty_block(self):
-        empty = stack([], 3)
-        assert census._canonical_keys(empty, empty).shape == (0, 18)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rack_iso_counts_match_relabeling_oracle(self, n):
         res = rw.enumerate_racks(n, keep=True)
@@ -251,34 +249,39 @@ class TestCanonicalForms:
     def test_weak_class_counts(self, n, classes):
         assert rw.enumerate_weak_racks(n).iso_count == classes
 
-    def test_keys_exact_where_packed_int64_keys_overflow(self):
-        """On 6 points a pair has 72 entries, and 6^k = 0 mod 2^64 for
-        k >= 64: pairs whose least relabelings differ only in their first 8
-        entries pack to the same wrapped 64-bit integer."""
-        n = 6
-        rng = random.Random(6)
-        d, e = ([rng.randrange(n) for _ in range(n * n)] for _ in range(2))
-        p = rng.sample(range(n), n)
-        form = list(canonical_form([d, e], n))
-        # a non-isomorphic pair: a least relabeling that differs from
-        # form in one of its first 8 entries
-        other = next(c for c in (form[:i] + [v] + form[i + 1:]
-                                 for i in range(8) for v in range(n))
-                     if canonical_form([c[:36], c[36:]], n) == tuple(c)
-                     and c != form)
+    def test_constant_3_cycle_racks_are_one_class(self):
+        # ab = c(b) for c = (0 1 2) and for its inverse: 3! relabelings,
+        # each rack fixed by the 3 that commute with c
+        dots = stack([[1, 2, 0] * 3, [2, 0, 1] * 3], 3)
+        assert census._fixed(dots, _invert_rows(dots)) == 6
 
-        def packed(key):
-            return sum(v * n ** (len(key) - 1 - i)
-                       for i, v in enumerate(key)) % 2 ** 64
+    def test_fixed_points_of_an_empty_stack(self):
+        empty = stack([], 3)
+        assert census._fixed(empty, empty) == 0
 
-        assert packed(form) == packed(other)
-        pairs = [(d, e), (relabel_flat(d, p, n), relabel_flat(e, p, n)),
-                 (other[:36], other[36:])]
-        keys = census._canonical_keys(stack([x for x, _ in pairs], n),
-                                      stack([y for _, y in pairs], n))
-        assert keys.dtype == np.uint8
-        assert keys[0].tolist() == keys[1].tolist() == form
-        assert keys[2].tolist() == other
+
+@st.composite
+def relabeling_closed_stacks(draw):
+    """0-4 random (dot, diamond) pairs on n <= 3 points and every
+    relabeling of each: a set of pairs closed under relabeling, as a
+    complete census is."""
+    n = draw(st.integers(1, 3))
+    cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    pairs = draw(st.lists(st.tuples(cells, cells), max_size=4))
+    closed = {(tuple(relabel_flat(d, p, n)), tuple(relabel_flat(e, p, n)))
+              for d, e in pairs for p in itertools.permutations(range(n))}
+    return n, sorted(closed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeling_closed_stacks())
+def test_burnside_count_matches_canonical_forms(case):
+    n, pairs = case
+    fixed = census._fixed(stack([d for d, _ in pairs], n),
+                          stack([e for _, e in pairs], n))
+    assert fixed % math.factorial(n) == 0
+    assert fixed // math.factorial(n) == len(
+        {canonical_form([d, e], n) for d, e in pairs})
 
 
 # per carrier size, structures whose verdicts are known to differ: racks from

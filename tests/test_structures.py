@@ -407,3 +407,43 @@ def test_derived_diamond_needs_permutation_rows():
     s = rw.Structure(2, rw.make_op_table(2, [0] * 4),
                      rw.make_op_table(2, [0] * 4), rw.UNCHECKED)
     assert not derived_diamond_matches(s)
+
+
+def _unchecked(dot, diamond):
+    n = len(dot)
+    return rw.Structure(n, rw.OpTable(n, dot), rw.OpTable(n, diamond),
+                        rw.UNCHECKED)
+
+
+# a pair that fails the rack axioms and the exp_0 homomorphism, and a
+# 3-point dot table whose W map fails QYBE
+_FAILS_AXIOMS = _unchecked([[0, 0], [0, 0]], [[1, 0], [0, 0]])
+_FAILS_QYBE = _unchecked([[1, 2, 0], [2, 0, 1], [0, 0, 0]], [[0] * 3] * 3)
+
+
+def _capped_checks():
+    """Every public checker that takes max_witnesses, as cap -> report,
+    each on a structure or map that it fails."""
+    s, ctx = _FAILS_AXIOMS, rw.make_trig_context(_FAILS_AXIOMS, 0, 0)
+    w = rw.w_map(_FAILS_QYBE)
+    return {
+        "check_rack_axioms": lambda cap: rw.check_rack_axioms(s, cap),
+        "check_weak_rack_axioms": lambda cap: rw.check_weak_rack_axioms(s, cap),
+        "check_morphism": lambda cap: rw.check_morphism([1, 0], s, s, cap),
+        "check_trig_properties": lambda cap: rw.check_trig_properties(ctx, cap),
+        "check_exp_homomorphism":
+            lambda cap: rw.check_exp_homomorphism(s, 0, cap),
+        "check_euler_formula": lambda cap: rw.check_euler_formula(ctx, cap),
+        "check_qybe": lambda cap: rw.check_qybe(w, cap),
+        "check_mixed": lambda cap: rw.check_mixed(w, w, 12, cap),
+        "check_yb_system": lambda cap: rw.check_yb_system(_FAILS_QYBE, 0, cap),
+    }
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("checker", sorted(_capped_checks()))
+def test_a_witness_cap_below_one_is_rejected(checker, cap):
+    check = _capped_checks()[checker]
+    assert not check(1).passed
+    with pytest.raises(rw.SizeMismatch, match="max_witnesses"):
+        check(cap)

@@ -343,3 +343,46 @@ def test_guards(call, message):
     with pytest.raises(rw.SizeMismatch) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: rw.OpTable(2, np.array([[0.9, 1.7], [0.2, 1.0]])),
+                 id="optable-float"),
+    pytest.param(lambda: rw.make_op_table(2, [0.5, 1, 0, 1.9]),
+                 id="make-float"),
+    pytest.param(lambda: rw.OpTable(1, [["0"]]), id="optable-str"),
+    pytest.param(lambda: rw.OpTable(2, [[True, False], [False, True]]),
+                 id="optable-bool"),
+    pytest.param(lambda: rw.OpTable(1, [[10 ** 30]]), id="optable-bigint"),
+    pytest.param(lambda: rw.OpTable(1, np.array([[0]], dtype=object)),
+                 id="optable-object"),
+    pytest.param(lambda: rw.PairMap(1, [[0.5, 0.2]]), id="pairmap-float"),
+    pytest.param(lambda: rw.GroupTable(2, rw.make_op_table(2, XOR), 0,
+                                       [0.0, 1.0]), id="group-inverses"),
+    pytest.param(lambda: rw.check_morphism([0.7, 1.2], rw.trivial_rack(2),
+                                           rw.trivial_rack(2)),
+                 id="morphism-float"),
+    pytest.param(lambda: rw.check_morphism([False, True], rw.trivial_rack(2),
+                                           rw.trivial_rack(2)),
+                 id="morphism-bool"),
+])
+def test_non_integer_entries_are_rejected_not_truncated(call):
+    with pytest.raises(rw.IndexOutOfRange, match="integers"):
+        call()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8,
+                                   np.uint16, np.uint64])
+def test_integer_entries_of_any_width_are_accepted(dtype):
+    t = rw.OpTable(2, np.array(XOR, dtype=dtype).reshape(2, 2))
+    assert t.entries.dtype == np.int64 and t == rw.make_op_table(2, XOR)
+    assert rw.PairMap(1, np.zeros((1, 2), dtype=dtype)).out.dtype == np.int64
+    s = rw.trivial_rack(2)
+    assert rw.check_morphism(np.array([1, 0], dtype=dtype), s, s).passed
+
+
+def test_unsigned_entries_beyond_int64_are_out_of_range():
+    with pytest.raises(rw.IndexOutOfRange):
+        rw.OpTable(1, np.array([[2 ** 63]], dtype=np.uint64))
+    with pytest.raises(rw.IndexOutOfRange):
+        rw.OpTable(1, [[2 ** 64 - 1]])
