@@ -3,11 +3,12 @@
 
 The enumerator searches every dot table whose rows are permutations (the
 cancellation axioms force that), prunes on left self-distributivity while
-rows are being chosen, derives the companion operation, and re-verifies
+rows are being chosen, derives the companion operation, and verifies
 every candidate through the axiom checkers' own law lists, a stack of
-tables at a time.  Weak racks drop cancellation, so there the search runs
-over both tables.  The isomorphism classes are counted by Burnside's lemma
-over the complete labeled census.
+tables at a time; the result holds the verified tables as stacks.  Weak
+racks drop cancellation, so there the search runs over both tables.  The
+isomorphism classes are counted by Burnside's lemma over the complete
+labeled census.
 """
 
 import time
@@ -26,9 +27,9 @@ print("on up to four points; the labeled counts expand each class by its")
 print("orbit under relabeling (e.g. 19 classes -> 114 tables at n = 4).")
 
 print("\n== the two racks on two points ==")
-res = rw.enumerate_racks(2, keep=True)
-for s in res.structures:
-    print(f"  dot = {s.dot.tolist()}  diamond = {s.diamond.tolist()}")
+res = rw.enumerate_racks(2)
+for dot, diamond in zip(res.dots, res.diamonds):
+    print(f"  dot = {dot.tolist()}  diamond = {diamond.tolist()}")
 print("the first is the trivial rack ab = b; the second is ab = 1 - b.")
 
 print("\n== weak racks: cancellation dropped ==")
@@ -40,9 +41,9 @@ for n in (1, 2, 3):
           f"{res.iso_count} classes   ({dt:.0f} ms)")
 
 print("\nthe Boolean examples really are members of the n = 2 census:")
-members = rw.enumerate_weak_racks(2, keep=True).structures
-keys = {(tuple(map(tuple, s.dot.tolist())),
-         tuple(map(tuple, s.diamond.tolist()))) for s in members}
+res = rw.enumerate_weak_racks(2)
+keys = {(tuple(map(tuple, d.tolist())), tuple(map(tuple, e.tolist())))
+        for d, e in zip(res.dots, res.diamonds)}
 for title, s in (
     ("implication / difference", rw.boolean_weak_rack_implication(1)),
     ("join / meet", rw.boolean_weak_rack_lattice(1)),

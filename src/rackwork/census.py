@@ -3,11 +3,11 @@
 The searches build stacks of candidate tables, shape (m, n, n).  Rack dot
 tables have permutation rows (the cancellation axioms force that) and the
 diamond is derived from the dot as derive_diamond does; weak-rack
-candidates are the left (dot) and right (diamond) self-distributive
-tables, paired by the checkers' compatibility law.  Every candidate is
-re-verified through the checkers' law lists and tables._holds, so the
-census states no law itself: the independent evidence is the unpruned
-oracles in the tests.
+candidates pair every left (dot) with every right (diamond)
+self-distributive table.  Every candidate is verified through the
+checkers' law lists and tables._holds, the pair laws first, so the census
+states no law itself: the independent evidence is the unpruned oracles in
+the tests.
 
 Counts are labeled: racks on 1..4 points number 1, 2, 13, 114 (1708 on 5
 points, under RACKWORK_MAX_N=5), weak racks on 1..3 points 1, 45, 13352.
@@ -27,39 +27,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierTooLarge
-from .structures import (
-    AX_WEAK_COMPAT,
-    RACK,
-    WEAK_RACK,
-    Structure,
-    _compat,
-    _rack_laws,
-    _weak_rack_laws,
-    max_carrier,
-)
-from .tables import _SLAB_CELLS, OpTable, _holds, _invert_rows, _narrow
+from .structures import (RACK, WEAK_RACK, Structure, _rack_laws,
+                          _weak_rack_laws, max_carrier)
+from .tables import _SLAB_CELLS, OpTable, _by_value, _holds, _invert_rows
 
 RACK_ENUM_CAP = 4
 WEAK_ENUM_CAP = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumResult:
-    """Search outcome: labeled count, isomorphism-class count, and the
-    structures themselves when kept."""
+    """Search outcome on n points: the verified structures of one kind as
+    read-only (count, n, n) stacks of dot and diamond tables, in
+    lexicographic order, and their number of isomorphism classes."""
 
     n: int
-    count: int
+    kind: str
+    dots: np.ndarray
+    diamonds: np.ndarray
     iso_count: int
-    structures: list[Structure] | None = None
+
+    __eq__ = _by_value
+
+    @property
+    def count(self) -> int:
+        return len(self.dots)
+
+    @property
+    def structures(self) -> list[Structure]:
+        """The stacks as records, in order, built anew on every read."""
+        return [Structure(self.n, OpTable(self.n, d), OpTable(self.n, e), self.kind)
+                for d, e in zip(self.dots, self.diamonds)]
 
 
 def _blocks(m: int, cells: int):
     """Slices of range(m), at least one item each, for stacks of items that
     cost `cells` gathered cells apiece: at most _SLAB_CELLS // 8 cells, so
     that a block's int64 gather indices take at most _SLAB_CELLS bytes.
-    Both census passes keep to it: the pair filter costs n^2 cells per
-    pair, the re-verification n^3 per candidate."""
+    Both census passes keep to it: candidate blocks cost n^2 cells per pair
+    under the pair laws, and _census verifies their survivors in blocks of
+    n^3 cells per pair."""
     step = max(1, _SLAB_CELLS // 8 // cells)
     return (slice(i, i + step) for i in range(0, m, step))
 
@@ -79,29 +86,33 @@ def _fixed(d: np.ndarray, e: np.ndarray) -> int:
     return fixed
 
 
-def _census(n: int, kind: str, laws, candidates, keep: bool) -> EnumResult:
-    """Count, classify and, if kept, build the (dot, diamond) pairs of the
-    candidate stacks that `candidates` yields which pass every law of
-    laws(dot, diamond), evaluated by _holds in blocks of n^3 cells apiece.
+def _census(n: int, kind: str, laws, candidates) -> EnumResult:
+    """The (dot, diamond) pairs of the candidate stacks that `candidates`
+    yields which pass every law of laws(dot, diamond), in their order:
+    _holds applies the pair laws (arity 2) to each candidate block first,
+    then the full list to the survivors, in _blocks of n^3 cells.
 
-    The pairs found are closed under relabeling, so by Burnside's lemma
-    there are _fixed(all pairs) / n! isomorphism classes.  For racks the
-    dot determines the diamond, so a permutation fixes the pair exactly
-    when it fixes the dot."""
-    count = fixed = 0
-    structures = [] if keep else None
+    The pairs are closed under relabeling, so by Burnside's lemma there are
+    (the sum of _fixed over the verified blocks) / n! isomorphism classes;
+    for racks the dot determines the diamond, so a permutation fixes the
+    pair exactly when it fixes the dot."""
+    found, fixed = [], 0
     for dots, diamonds in candidates:
+        pair_laws = [law for law in laws(dots, diamonds) if law[1] == 2]
+        ok = _holds(pair_laws, n, len(dots))
+        dots, diamonds = dots[ok], diamonds[ok]
         for blk in _blocks(len(dots), n ** 3):
             d, e = dots[blk], diamonds[blk]
             ok = _holds(laws(d, e), n, len(d))
             d, e = d[ok], e[ok]
-            count += len(d)
+            found.append((d, e))
             fixed += _fixed(d, e)
-            if keep:
-                structures += [Structure(n, OpTable(n, x), OpTable(n, y), kind)
-                               for x, y in zip(d, e)]
-    return EnumResult(n=n, count=count, iso_count=fixed // math.factorial(n),
-                      structures=structures)
+    # the trivial rack passes on every carrier, so `found` is not empty
+    dots, diamonds = (np.concatenate(x) for x in zip(*found))
+    dots.setflags(write=False)
+    diamonds.setflags(write=False)
+    return EnumResult(n=n, kind=kind, dots=dots, diamonds=diamonds,
+                      iso_count=fixed // math.factorial(n))
 
 
 def _left_distributive_tables(n: int, permutation_rows: bool = False) -> np.ndarray:
@@ -153,26 +164,27 @@ def _left_distributive_tables(n: int, permutation_rows: bool = False) -> np.ndar
     return np.array(found, dtype=np.min_scalar_type(n - 1)).reshape(-1, n, n)
 
 
-def enumerate_racks(n: int, keep: bool = False) -> EnumResult:
+def enumerate_racks(n: int) -> EnumResult:
     """All labeled racks on 0..n-1, in lexicographic order of the dot:
     dot rows range over permutations with left self-distributivity pruned
     during search, diamond derived by row inversion, and the full axiom set
-    re-verified on each candidate."""
+    verified on each candidate."""
     cap = max_carrier(RACK_ENUM_CAP)
     if not 1 <= n <= cap:
         raise CarrierTooLarge(f"rack enumeration supports 1 <= n <= {cap}")
     dots = _left_distributive_tables(n, permutation_rows=True)
-    return _census(n, RACK, _rack_laws, [(dots, _invert_rows(dots))], keep)
+    diamonds = _invert_rows(dots).astype(dots.dtype)
+    blocks = _blocks(len(dots), n ** 2)
+    return _census(n, RACK, _rack_laws, ((dots[b], diamonds[b]) for b in blocks))
 
 
-def enumerate_weak_racks(n: int, keep: bool = False) -> EnumResult:
+def enumerate_weak_racks(n: int) -> EnumResult:
     """All labeled weak racks (dot, diamond) on 0..n-1, in lexicographic
     order of (dot, diamond).
 
     Dot candidates are pruned on left self-distributivity and diamond
-    candidates on right self-distributivity; the compatibility law filters
-    the pairs, and every pair it keeps is re-verified against the full
-    axiom set.
+    candidates on right self-distributivity; each dot is paired with every
+    diamond, and _census verifies the pairs against the full axiom set.
     """
     cap = max_carrier(WEAK_ENUM_CAP)
     if not 1 <= n <= cap:
@@ -181,14 +193,8 @@ def enumerate_weak_racks(n: int, keep: bool = False) -> EnumResult:
     # the transposes are the right self-distributive tables
     flat = dots.swapaxes(1, 2).reshape(len(dots), -1)
     diamonds = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)
-
-    def compatible():
-        # every pair of a block of dots with every diamond, dot-major
-        for blk in _blocks(len(dots), len(diamonds) * n ** 2):
-            d = np.repeat(dots[blk], len(diamonds), axis=0)
-            e = np.tile(diamonds, (len(dots[blk]), 1, 1))
-            law = _compat(_narrow(d), _narrow(e))
-            ok = _holds([(AX_WEAK_COMPAT, 2, law)], n, len(d))
-            yield d[ok], e[ok]
-
-    return _census(n, WEAK_RACK, _weak_rack_laws, compatible(), keep)
+    # every pair of a block of dots with every diamond, dot-major
+    pairs = ((np.repeat(dots[blk], len(diamonds), axis=0),
+              np.tile(diamonds, (len(dots[blk]), 1, 1)))
+             for blk in _blocks(len(dots), len(diamonds) * n ** 2))
+    return _census(n, WEAK_RACK, _weak_rack_laws, pairs)

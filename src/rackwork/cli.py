@@ -322,20 +322,19 @@ def _mat_report(args) -> int:
 
 def cmd_enum(args) -> int:
     report = Report("enum", args.json, args.all_witnesses)
-    keep = args.keep is not None
     if args.weak:
-        res = census.enumerate_weak_racks(args.n, keep=keep)
+        res = census.enumerate_weak_racks(args.n)
         what = "weak racks"
     else:
-        res = census.enumerate_racks(args.n, keep=keep)
+        res = census.enumerate_racks(args.n)
         what = "racks"
     report.set(what, res.count)
     report.set("isomorphism classes", res.iso_count)
-    if keep:
+    if args.keep is not None:
         os.makedirs(args.keep, exist_ok=True)
         stem = "weak" if args.weak else "rack"
         width = max(3, len(str(res.count)))
-        for i, s in enumerate(res.structures or []):
+        for i, s in enumerate(res.structures):
             path = os.path.join(args.keep,
                                 f"{stem}_n{args.n}_{i:0{width}d}.json")
             fileio.save_structure(path, s)
@@ -360,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_make = sub.add_parser("make", parents=[common],
-                            help="construct a structure and write its file")
+    # common flags on the subkinds only: their defaults would overwrite make's
+    p_make = sub.add_parser("make", help="construct a structure and write its file")
     make_sub = p_make.add_subparsers(dest="subkind", required=True)
 
     def add_make(name, **kwargs):

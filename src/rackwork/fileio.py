@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import InvalidFile, RackworkError
 from .euler import PairMap
 from .structures import KINDS, Structure, _capped
-from .tables import GroupTable, OpTable, make_op_table, validate_group
+from .tables import GroupTable, OpTable, validate_group
 
 
 def _canonical(obj: dict) -> str:
@@ -142,9 +142,8 @@ def load_group(path: str) -> tuple[GroupTable, list[str] | None]:
     _check_matrix(doc.get("mul"), n, f"{path}: mul")
     labels = doc.get("labels")
     _check_labels(labels, n)
-    flat = [v for row in doc["mul"] for v in row]
     try:
-        group = validate_group(make_op_table(n, flat))
+        group = validate_group(OpTable(n, doc["mul"]))
     except RackworkError as exc:
         raise InvalidFile(f"{path}: not a group table: {exc}") from exc
     return group, labels

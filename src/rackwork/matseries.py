@@ -15,10 +15,9 @@ equality of values, not an approximation.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeterminantNotOne, LevelTooLarge, SizeMismatch
@@ -128,29 +127,19 @@ def brute_sum(a: Mat2Q, n_terms: int) -> Mat2Q:
 class SumResult:
     """Closed form for sum_{k=1}^{3^n} A^k with its trace factors.
 
-    factors[j] = tr(A^(3^j)) + 1 for j = 0..n-1; power_exponent is
-    (3^n + 1)/2 and power is A^power_exponent; closed_form is scalar *
-    power; oracle, when requested and within range, is the brute-force sum
-    over all 3^n terms.
+    factors[j] = tr(A^(3^j)) + 1 for j = 0..n-1 and scalar is their
+    product; power_exponent is (3^n + 1)/2 and power is A^power_exponent;
+    closed_form is scalar * power; oracle, when requested and within range,
+    is the brute-force sum over all 3^n terms.
     """
 
     n: int
     factors: tuple[Fraction, ...]
+    scalar: Fraction
     power_exponent: int
     power: Mat2Q
+    closed_form: Mat2Q
     oracle: Mat2Q | None = None
-    closed_form: Mat2Q = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "closed_form",
-                           mat_scale(self.scalar, self.power))
-
-    @functools.cached_property
-    def scalar(self) -> Fraction:
-        out = Fraction(1)
-        for f in self.factors:
-            out *= f
-        return out
 
     @property
     def oracle_matches(self) -> bool | None:
@@ -190,11 +179,14 @@ def trace_product_sum(a: Mat2Q, n: int, with_oracle: bool = False) -> SumResult:
     if with_oracle and n <= ORACLE_MAX_LEVEL:
         oracle = brute_sum(a, 3 ** n)
 
+    scalar = math.prod(factors, start=Fraction(1))
     return SumResult(
         n=n,
         factors=tuple(factors),
+        scalar=scalar,
         power_exponent=exponent,
         power=power,
+        closed_form=mat_scale(scalar, power),
         oracle=oracle,
     )
 

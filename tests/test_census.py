@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import census
+from rackwork import census, cli
 from rackwork.structures import _rack_laws, _weak_rack_laws
 from rackwork.tables import _holds, _invert_rows
 
@@ -73,7 +75,7 @@ class TestRackEnumeration:
         assert (res.count, res.iso_count) == (1, 1)
 
     def test_n2_structures(self):
-        res = rw.enumerate_racks(2, keep=True)
+        res = rw.enumerate_racks(2)
         assert (res.count, res.iso_count) == (2, 2)
         dots = sorted(tuple(v for row in s.dot.tolist() for v in row)
                       for s in res.structures)
@@ -96,19 +98,19 @@ class TestRackEnumeration:
 
     def test_matches_unpruned_oracle(self):
         for n in (1, 2, 3):
-            res = rw.enumerate_racks(n, keep=True)
+            res = rw.enumerate_racks(n)
             got = sorted(tuple(v for row in s.dot.tolist() for v in row)
                          for s in res.structures)
             assert got == sorted(brute_force_rack_dots(n))
 
     def test_every_kept_structure_verifies(self):
-        res = rw.enumerate_racks(3, keep=True)
+        res = rw.enumerate_racks(3)
         for s in res.structures:
             assert rw.check_rack_axioms(s).passed
             assert s.kind == rw.RACK
 
     def test_kept_structures_in_lex_order(self):
-        res = rw.enumerate_racks(3, keep=True)
+        res = rw.enumerate_racks(3)
         dots = [s.dot.tolist() for s in res.structures]
         assert dots == sorted(dots)
 
@@ -126,7 +128,7 @@ class TestWeakRackEnumeration:
         assert res.count == 1
 
     def test_n2_count_and_members(self):
-        res = rw.enumerate_weak_racks(2, keep=True)
+        res = rw.enumerate_weak_racks(2)
         assert res.count == 45
         pairs = {(tuple(v for row in s.dot.tolist() for v in row),
                   tuple(v for row in s.diamond.tolist() for v in row))
@@ -145,8 +147,8 @@ class TestWeakRackEnumeration:
         assert rw.enumerate_weak_racks(2).count == brute_force_weak_count(2)
 
     def test_racks_embed_into_weak_racks(self):
-        rack_res = rw.enumerate_racks(2, keep=True)
-        weak_res = rw.enumerate_weak_racks(2, keep=True)
+        rack_res = rw.enumerate_racks(2)
+        weak_res = rw.enumerate_weak_racks(2)
         weak_pairs = {(tuple(map(tuple, s.dot.tolist())),
                        tuple(map(tuple, s.diamond.tolist())))
                       for s in weak_res.structures}
@@ -171,7 +173,7 @@ class TestWeakRackEnumeration:
 
     def test_kept_weak_structures_in_lex_order(self):
         for n in (2, 3):
-            res = rw.enumerate_weak_racks(n, keep=True)
+            res = rw.enumerate_weak_racks(n)
             pairs = [(flat(s.dot), flat(s.diamond)) for s in res.structures]
             assert len(pairs) == res.count
             assert pairs == sorted(pairs)
@@ -193,11 +195,11 @@ class TestWeakRackEnumeration:
             rhs = d[x, diamonds.swapaxes(1, 2)]        # a(b<>a) at [., a, b]
             for j in np.flatnonzero((lhs == rhs).all(axis=(1, 2))):
                 pairs.append((d.ravel().tolist(), diamonds[j].ravel().tolist()))
-        res = rw.enumerate_weak_racks(n, keep=True)
+        res = rw.enumerate_weak_racks(n)
         assert [(flat(s.dot), flat(s.diamond)) for s in res.structures] == pairs
 
     def test_every_kept_weak_structure_verifies(self):
-        res = rw.enumerate_weak_racks(2, keep=True)
+        res = rw.enumerate_weak_racks(2)
         for s in res.structures:
             assert rw.check_weak_rack_axioms(s).passed
 
@@ -207,10 +209,85 @@ class TestWeakRackEnumeration:
             rw.enumerate_weak_racks(4)
 
 
+def record_digest(structures):
+    h = hashlib.sha256()
+    for s in structures:
+        h.update(f"{s.n} {s.kind} {s.dot.tolist()} {s.diamond.tolist()}\n".encode())
+    return h.hexdigest()
+
+
+def files_digest(directory):
+    h = hashlib.sha256()
+    for path in sorted(pathlib.Path(directory).iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+# sha256 of the records and of the files `enum --keep` writes, taken when
+# the census still built its records during the search
+PINNED = {
+    ("racks", 1): ("11145c196fbd3236fa32eed253cc9ca923b9adcad1f54df861d493595efebbfb",
+                   "594a3166a12407767c1300db0b82ee22472d9ad4bbefb353df940ee736bd9e84"),
+    ("racks", 2): ("5e61bd80ad7c8177c761b60258627e5754c7aabceb9c482315e314e2c28dc515",
+                   "9ee462a2b3afc94ac5340567e6c25bccb24b5f6dbdf975a08742970906a73238"),
+    ("racks", 3): ("953c2a3f6f50a610eb63d175645ae6ee27fa3ba4439591500977500cec676dcc",
+                   "b4922827138aa3c49b5018251faf7f8cc6425bb915e45f846db141285a7c8c70"),
+    ("racks", 4): ("d011d32f30cbf902556abf2f5e8a597858a0082555dbcc007501793e97e82e95",
+                   "ebceab101f9a7ac96aa94e0a51183077c8b38e16c8e9d75756a9591af16f8cef"),
+    ("racks", 5): ("d533dc4a1880564b9282cadc62fd449dca1b3558b79e7aab67646c7c1e9e22c0",
+                   "5db82becce31b8e63f6c38e08a51aabc1d27932bff97b5741a22f693dbc28aa0"),
+    ("weak racks", 1): ("663a1e2f8c8891d8bb1c4ea4d8cf148e86e1e1bef3deee677215fbbdadf1d7dd",
+                        "19950bce275e6bf6fd1d7c860349ecbee5558c8f6bef4ddb196c9de0cda1be01"),
+    ("weak racks", 2): ("0e46a91272ad727baab902ab0702664173bd6e7164b35ee00bc23eb439800f2b",
+                        "ecd71ef9dc0b68699180947cd03d418330bb183c0e106199e2638e0ac8bcb44f"),
+    ("weak racks", 3): ("a5fdbbd2ace6a9423f9b13a86d95e2221562ad4bd237cb07ade1d7e782af5a0b",
+                        "bbfe18b9b076c8e4a0fd4f12e42802079e619c2b5c1640a56fd058938f096420"),
+}
+
+
+class TestCensusResult:
+    @pytest.mark.parametrize("enumerate_,n", [(rw.enumerate_racks, 4),
+                                              (rw.enumerate_weak_racks, 2)])
+    def test_stacks_are_read_only_and_are_the_records(self, enumerate_, n):
+        res = enumerate_(n)
+        assert res.dots.shape == res.diamonds.shape == (res.count, n, n)
+        for tables in (res.dots, res.diamonds):
+            with pytest.raises(ValueError):
+                tables[0, 0, 0] = 0
+        records = res.structures
+        assert [s.dot.tolist() for s in records] == res.dots.tolist()
+        assert [s.diamond.tolist() for s in records] == res.diamonds.tolist()
+        assert {(s.n, s.kind) for s in records} == {(n, res.kind)}
+
+    def test_equality_does_not_depend_on_reading_the_records(self):
+        a, b = rw.enumerate_weak_racks(2), rw.enumerate_weak_racks(2)
+        assert a == b
+        assert len(a.structures) == 45
+        assert a == b and b == a
+        assert a != rw.enumerate_racks(2)
+        assert a != rw.enumerate_weak_racks(1)
+
+    @pytest.mark.parametrize("what,n", sorted(PINNED))
+    def test_records_and_kept_files_are_pinned(self, what, n, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.setenv("RACKWORK_MAX_N", "5")  # racks on 5 points
+        weak = what == "weak racks"
+        res = (rw.enumerate_weak_racks if weak else rw.enumerate_racks)(n)
+        keep = str(tmp_path / "kept")
+        code = cli.main(["enum", "--n", str(n), "--keep", keep]
+                        + ["--weak"] * weak)
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"command: enum\n{what} = {res.count}\n"
+            f"isomorphism classes = {res.iso_count}\nkept = {keep}\n"
+            f"[pass] enumerated {what} on {n} elements\nresult: PASS\n")
+        assert (record_digest(res.structures), files_digest(keep)) == PINNED[what, n]
+
+
 class TestCanonicalForms:
     def test_iso_count_independent_relabeling_oracle(self):
         """Recount the n=2 weak-rack classes with a from-scratch orbit scan."""
-        res = rw.enumerate_weak_racks(2, keep=True)
+        res = rw.enumerate_weak_racks(2)
         pairs = [(tuple(v for row in s.dot.tolist() for v in row),
                   tuple(v for row in s.diamond.tolist() for v in row))
                  for s in res.structures]
@@ -234,13 +311,13 @@ class TestCanonicalForms:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rack_iso_counts_match_relabeling_oracle(self, n):
-        res = rw.enumerate_racks(n, keep=True)
+        res = rw.enumerate_racks(n)
         forms = {canonical_form([flat(s.dot)], n) for s in res.structures}
         assert len(forms) == res.iso_count
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_weak_iso_counts_match_relabeling_oracle(self, n):
-        res = rw.enumerate_weak_racks(n, keep=True)
+        res = rw.enumerate_weak_racks(n)
         forms = {canonical_form([flat(s.dot), flat(s.diamond)], n)
                  for s in res.structures}
         assert len(forms) == res.iso_count
@@ -289,7 +366,7 @@ def test_burnside_count_matches_canonical_forms(case):
 @functools.lru_cache(maxsize=None)
 def _known(n):
     known = [(s.dot.tolist(), s.diamond.tolist())
-             for s in rw.enumerate_racks(n, keep=True).structures]
+             for s in rw.enumerate_racks(n).structures]
     if n in (1, 2, 4):
         k = n.bit_length() - 1
         known += [(s.dot.tolist(), s.diamond.tolist()) for s in

@@ -41,6 +41,23 @@ class TestMake:
         loaded = fileio.load_structure(out)
         assert loaded.structure == rw.trivial_rack(3)
 
+    def test_json_after_the_subkind(self, tmp_path, capsys):
+        out = str(tmp_path / "t.json")
+        code, text, _ = run(capsys, "make", "trivial", "--json", "--n", "2",
+                            "--out", out)
+        assert code == 0
+        assert json.loads(text)["data"] == {"kind": "rack", "n": 2, "out": out}
+
+    @pytest.mark.parametrize("flag", ["--json", "--all-witnesses"])
+    def test_common_flags_before_the_subkind_are_exit_2(self, tmp_path, capsys,
+                                                         flag):
+        out = tmp_path / "t.json"
+        code, text, err = run(capsys, "make", flag, "trivial", "--n", "2",
+                              "--out", str(out))
+        assert (code, text) == (2, "")
+        assert f"unrecognized arguments: {flag}" in err
+        assert not out.exists()
+
     def test_conj_from_group_file(self, conj_file, conj_s3):
         loaded = fileio.load_structure(conj_file)
         assert loaded.structure == conj_s3

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -91,6 +93,17 @@ class TestClosedForm:
         assert res.factors == (F(5), F(53))
         assert res.scalar == 265
         assert res.oracle_matches
+
+    def test_result_is_a_plain_record(self):
+        res = rw.trace_product_sum(HARD, 3)
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "n", "factors", "scalar", "power_exponent", "power",
+            "closed_form", "oracle"]
+        assert type(res.scalar) is F
+        assert res.scalar == math.prod(res.factors)
+        assert res.closed_form == matseries.mat_scale(res.scalar, res.power)
+        assert res == rw.trace_product_sum(HARD, 3)
+        assert res != rw.trace_product_sum(HARD, 3, with_oracle=True)
 
     def test_factor_consistency(self):
         res = rw.trace_product_sum(HARD, 4)

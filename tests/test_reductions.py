@@ -28,7 +28,7 @@ from rackwork.tables import _narrow, _scan
 @functools.lru_cache(maxsize=None)
 def _racks(n):
     return [(s.dot.entries.ravel().tolist(), s.diamond.entries.ravel().tolist())
-            for s in rw.enumerate_racks(n, keep=True).structures]
+            for s in rw.enumerate_racks(n).structures]
 
 
 @st.composite

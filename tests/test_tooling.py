@@ -1,8 +1,11 @@
-"""The test runner's own settings: a failing test must be reported as one."""
+"""The test runner's own settings, and lint checks on the package source."""
 
+import ast
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -31,3 +34,31 @@ def test_a_failing_hypothesis_test_is_reported(tmp_path):
     assert proc.returncode == 1
     assert "FAILED test_throwaway.py::test_fails" in output
     assert "1 failed" in output
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_the_unused_import_check_finds_one():
+    source = "import os\nimport numpy as np\nfrom x import a, b\nnp.array(b)\n"
+    assert unused_imports(source) == ["os", "a"]
+
+
+# __init__.py is left out: it imports names to re-export them
+MODULES = sorted(p for p in (ROOT / "src" / "rackwork").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []

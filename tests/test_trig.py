@@ -82,7 +82,7 @@ class TestProperties:
         racks = [(name, s) for name, s in fleet
                  if s.kind == rw.RACK and s.n <= 8]
         for n in range(1, 5):
-            found = rw.enumerate_racks(n, keep=True).structures
+            found = rw.enumerate_racks(n).structures
             racks += [(f"rack{n}.{i}", s) for i, s in enumerate(found)]
         assert sum(s.n ** 2 for _, s in racks[-130:]) == 1950
         for name, s in racks:
@@ -294,9 +294,9 @@ def test_carrier_wide_properties_swap_under_duality(s):
 def atlas_structures():
     """Every rack on 3 points, every weak rack on 2, the first 100 weak
     racks on 3 and 42 random table pairs on 1 to 6 points."""
-    found = (rw.enumerate_racks(3, keep=True).structures
-             + rw.enumerate_weak_racks(2, keep=True).structures
-             + rw.enumerate_weak_racks(3, keep=True).structures[:100])
+    found = (rw.enumerate_racks(3).structures
+             + rw.enumerate_weak_racks(2).structures
+             + rw.enumerate_weak_racks(3).structures[:100])
     rng = np.random.default_rng(7)
     for n in range(1, 7):
         for _ in range(7):
