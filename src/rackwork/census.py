@@ -29,10 +29,12 @@ import numpy as np
 from .errors import CarrierTooLarge
 from .structures import (RACK, WEAK_RACK, Structure, _rack_laws,
                           _weak_rack_laws, max_carrier)
-from .tables import _SLAB_CELLS, OpTable, _by_value, _holds, _invert_rows
+from .tables import OpTable, _by_value, _holds, _invert_rows
 
 RACK_ENUM_CAP = 4
 WEAK_ENUM_CAP = 3
+
+_SLAB_CELLS = 1 << 18  # bytes of int64 gather indices per census block
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +66,11 @@ def _blocks(m: int, cells: int):
     """Slices of range(m), at least one item each, for stacks of items that
     cost `cells` gathered cells apiece: at most _SLAB_CELLS // 8 cells, so
     that a block's int64 gather indices take at most _SLAB_CELLS bytes.
-    Both census passes keep to it: candidate blocks cost n^2 cells per pair
-    under the pair laws, and _census verifies their survivors in blocks of
-    n^3 cells per pair."""
+    _SLAB_CELLS is the census's own bound, as _holds evaluates each law on
+    a whole block at once, where tables._scan walks one head at a time.
+    Both census passes keep to it: candidate blocks cost n^2 cells per
+    pair under the pair laws, and _census verifies their survivors in
+    blocks of n^3 cells per pair."""
     step = max(1, _SLAB_CELLS // 8 // cells)
     return (slice(i, i + step) for i in range(0, m, step))
 

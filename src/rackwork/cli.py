@@ -132,8 +132,6 @@ def cmd_make(args) -> int:
         if loaded.labels is not None:
             labels = [f"({x},{y})" for x in loaded.labels
                       for y in loaded.labels]
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidFile(f"unknown make subkind {args.subkind!r}")
 
     text = fileio.structure_to_json(s, labels)
     report = Report("make", args.json, args.all_witnesses, labels)
@@ -237,10 +235,11 @@ def cmd_ybe(args) -> int:
         if args.map in ("exp", "cosh", "sinh"):
             if args.e is None:
                 raise RackworkError(f"--e is required for map {args.map!r}")
-            ctx = trig.make_trig_context(s, args.e, 0)
-            f = {"exp": lambda: euler.exp_map(s, args.e),
-                 "cosh": lambda: euler.cosh_map(ctx),
-                 "sinh": lambda: euler.sinh_map(ctx)}[args.map]()
+            f = euler.exp_map(s, args.e)  # also checks e against the carrier
+            if args.map != "exp":
+                ctx = trig.make_trig_context(s, args.e, 0)  # o is not read
+                f = (euler.cosh_map if args.map == "cosh"
+                     else euler.sinh_map)(ctx)
             name = f"{args.map} (e={args.e})"
         else:
             f = ybe.w_map(s) if args.map == "w" else ybe.z_map(s)

@@ -71,14 +71,17 @@ class AxiomReport:
     alphabetical order, e.g. (a, b, c) for the triple axioms.
     """
 
-    passed: bool
     failures: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def _report(laws, n: int, cap: int) -> AxiomReport:
     """Scan each (name, arity, law) in turn, up to cap witnesses apiece."""
     failures = [(name, w) for name, k, law in laws for w in _scan(law, n, k, cap)]
-    return AxiomReport(passed=not failures, failures=failures)
+    return AxiomReport(failures)
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,6 @@ def _by_value(self, other) -> bool:
     return True
 
 
-_SLAB_CELLS = 1 << 18  # larger scans walk the first variable value by value
-
-
 @functools.lru_cache(maxsize=64)
 def _grids(n: int, k: int) -> tuple[np.ndarray, ...]:
     """Read-only index grids for k variables over 0..n-1, one axis per
@@ -88,11 +85,11 @@ def _at(t: np.ndarray, i, j) -> np.ndarray:
     - stack, shape (m, n, n): structure s gathers from its own table, rows
       s*n .. s*n + n-1 of the stack's rows, and s runs along the batch axis
       of _holds's grids;
-    - int head: a plain int i (the walked first variable) gathers from the
-      row view;
+    - int head: a plain int i, a head value that _scan walks, gathers from
+      the row view;
     - outer: a column i, shape (k, 1), against a row j, shape (1, m), copies
       rows i and then picks columns j: two short index vectors, where the
-      flat form builds and converts a k x m index for every first value;
+      flat form builds and converts a k x m index for every head;
     - flat: other grids gather from the flat view at i * n + j, one take
       where t[i, j] is a two-array gather.  i * n + j cannot overflow even
       when i and j are narrowed gathers: every value is below n, so the
@@ -112,27 +109,24 @@ def _at(t: np.ndarray, i, j) -> np.ndarray:
 
 def _scan(law, n: int, k: int, cap: int, heads=None) -> list[tuple[int, ...]]:
     """The first `cap` failures, in lexicographic order, of a law over all
-    k-tuples of carrier elements, or over those whose first is in `heads`.
+    k-tuples of carrier elements, or over those that start with one of
+    `heads`.
 
-    `law` takes k broadcastable index grids, one axis per variable, and
-    returns the failure mask.  With no `heads` and up to _SLAB_CELLS
-    instances it is called once over the whole domain; else the first
-    variable is passed as a plain int, one value at a time, and the law
-    returns a mask over the other k-1 axes.  A subterm over the trailing
-    variables in axis order is the table itself: write d[a, d], not
-    d[a, d[b, c]], so that it is not gathered again for every first value.
-    Laws gather with _at from tables passed through _narrow; under the walk
-    a column against a row takes _at's outer form, with no n x n index.
+    `law` takes k arguments and returns a failure mask.  It is called once
+    per head, a tuple of leading variable values given as plain ints, with
+    _grids for the remaining variables, and its mask is over those
+    variables alone.  The heads are (a,) for each first value a unless the
+    caller lists its own, which must be in lexicographic order.  A subterm
+    over the trailing variables in axis order is the table itself: write
+    d[a, d], not d[a, d[b, c]], so that it is not gathered again for every
+    head.  Laws gather with _at from tables passed through _narrow; a
+    column against a row takes _at's outer form, with no n x n index.
     """
     if cap < 1:
         raise SizeMismatch(f"max_witnesses must be at least 1, got {cap}")
-    if heads is None and n ** k <= _SLAB_CELLS:
-        chunks = [((), law(*_grids(n, k)))]
-    else:
-        rest = _grids(n, k - 1)
-        chunks = (((a,), law(a, *rest)) for a in heads or range(n))
     found: list[tuple[int, ...]] = []
-    for head, bad in chunks:
+    for head in ([(a,) for a in range(n)] if heads is None else heads):
+        bad = law(*head, *_grids(n, k - len(head)))
         if not bad.any():
             continue
         bad = np.broadcast_to(bad, (n,) * (k - len(head)))

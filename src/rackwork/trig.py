@@ -153,7 +153,7 @@ def check_trig_properties(ctx: TrigContext,
     found = [(P_COS_PI, [] if cos_pi == ctx.u else [(ctx.pi, cos_pi)]),
              (P_SIN_PI, [] if sin_pi == ctx.o else [(ctx.pi, sin_pi)])]
     for name, k, law in _trig_laws(s.dot.entries, s.diamond.entries):
-        wits = _scan(law, s.n, k, max_witnesses, heads=(ctx.e,))
+        wits = _scan(law, s.n, k, max_witnesses, heads=[(ctx.e,)])
         found.append((name, [w[1:] for w in wits]))
     weak = s.kind == WEAK_RACK
     return TrigReport(tuple(

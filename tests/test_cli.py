@@ -326,6 +326,17 @@ class TestYbeSystem:
         assert (code, out, err) == (
             2, "", "error: --e is required for map 'exp'\n")
 
+    @pytest.mark.parametrize("command", [
+        ["ybe", "--map", "exp"], ["ybe", "--map", "cosh"],
+        ["ybe", "--map", "sinh"], ["system"]],
+        ids=["exp", "cosh", "sinh", "system"])
+    def test_base_point_outside_carrier_is_exit_2(self, tmp_path, capsys,
+                                                  command):
+        path = str(tmp_path / "t3.json")
+        assert run(capsys, "make", "trivial", "--n", "3", "--out", path)[0] == 0
+        code, out, err = run(capsys, command[0], path, *command[1:], "--e", "9")
+        assert (code, out, err) == (2, "", "error: 9 outside carrier 3\n")
+
     @pytest.mark.parametrize("argv, line", [
         ([], "a structure file or --pairmap is required"),
         (["FILE"], "--map is required with a structure file"),

@@ -62,7 +62,7 @@ def _at_base(s, name, e):
     """The witnesses of one law of trig._trig_laws at b = e, b dropped."""
     (k, law), = [(k, law) for p, k, law in
                  trig._trig_laws(s.dot.entries, s.diamond.entries) if p == name]
-    return {w[1:] for w in _scan(law, s.n, k, s.n ** 3, heads=(e,))}
+    return {w[1:] for w in _scan(law, s.n, k, s.n ** 3, heads=[(e,)])}
 
 
 @settings(max_examples=80, deadline=None)

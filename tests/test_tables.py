@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import euler
-from rackwork.tables import _at, _narrow
+from rackwork.tables import _at, _narrow, _scan
 from conftest import S3_ELEMS, compose, invert, s3_mul_table
 
 XOR = [0, 1, 1, 0]
@@ -329,6 +329,24 @@ def test_at_matches_fancy_indexing_in_every_form(n):
     }
     for name, (got, want) in cases.items():
         assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+def test_scan_walks_only_the_heads_it_is_given():
+    calls = []
+
+    def law(a, b, c):
+        calls.append((a, b))
+        return (b + c) % 2 == 0  # a mask over c
+
+    assert _scan(law, 3, 3, 5, heads=[]) == [] and calls == []
+    heads = [(0, 1), (2, 0)]
+    assert _scan(law, 3, 3, 5, heads) == [(0, 1, 1), (2, 0, 0), (2, 0, 2)]
+    assert calls == heads
+    calls.clear()
+    assert _scan(law, 3, 3, 1, heads) == [(0, 1, 1)] and calls == heads[:1]
+    # by default the heads are the first values, so a k = 1 law gets no grid
+    odd = np.arange(4) % 2 == 1
+    assert _scan(lambda x: odd[x], 4, 1, 32) == [(1,), (3,)]
 
 
 @pytest.mark.parametrize("call, message", [

@@ -62,3 +62,54 @@ MODULES = sorted(p for p in (ROOT / "src" / "rackwork").glob("*.py")
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The top-level private names (_x, not __x__) that a module defines,
+    as module.name, which neither that module nor an import from it reads.
+    `sources` maps module names to their source; an attribute `m._x` reads
+    _x of every module."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    read = {m: set() for m in trees}
+    attributes = set()
+    for m, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read[m].add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rsplit(".", 1)[-1]
+                if source in read:
+                    read[source].update(a.name for a in node.names)
+    unread = []
+    for m, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [f"{m}.{name}" for name in names
+                       if name.startswith("_") and not name.endswith("__")
+                       and name not in read[m] | attributes]
+    return unread
+
+
+def test_the_unread_private_name_check_finds_one():
+    sources = {
+        "a": ("__all__ = []\n_x = 1\n_y = 2\n\ndef _f():\n    return _y\n\n"
+              "class _C:\n    pass\n"),
+        # b reads a._f and a._C, and an _x of its own
+        "b": "from . import a\nfrom .a import _C\n_x = 3\na._f(_C, _x)\n",
+    }
+    assert unread_private_names(sources) == ["a._x"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text()
+               for p in (ROOT / "src" / "rackwork").glob("*.py")}
+    assert unread_private_names(sources) == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import euler, tables, ybe
+from rackwork import euler, ybe
 from rackwork.structures import AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, WITNESS_CAP
 
 
@@ -300,13 +300,9 @@ def test_words_match_triple_loop_for_every_coordinate_class(data):
     ]
     for check, lhs, rhs in checks:
         expected = brute_word_failures(n, lhs, rhs)[:WITNESS_CAP]
-        # one call over all n^3 triples, then walked value by value
-        for slab in (tables._SLAB_CELLS, 1):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(tables, "_SLAB_CELLS", slab)
-                rep = check()
-            assert rep.passed == (not expected)
-            assert [w for _, w in rep.failures] == expected
+        rep = check()
+        assert rep.passed == (not expected)
+        assert [w for _, w in rep.failures] == expected
 
 
 def test_only_two_input_coordinates_gather_a_table(conj_s3, monkeypatch):
@@ -330,14 +326,14 @@ def test_only_two_input_coordinates_gather_a_table(conj_s3, monkeypatch):
         return calls["table"], calls["lift"]
 
     ctx = rw.make_trig_context(conj_s3, 1, 4)
-    for slab, lifts in ((tables._SLAB_CELLS, 6), (1, 6 * conj_s3.n)):
-        monkeypatch.setattr(tables, "_SLAB_CELLS", slab)
-        # W and Z: one projection and one table coordinate
-        assert gathers(rw.w_map(conj_s3)) == (lifts, lifts)
-        assert gathers(rw.z_map(conj_s3)) == (lifts, lifts)
-        # exp_e, cosh, sinh: each coordinate reads one input
-        for f in (rw.exp_map(conj_s3, 1), rw.cosh_map(ctx), rw.sinh_map(ctx)):
-            assert gathers(f) == (0, lifts)
+    # six lifts per walked first value
+    lifts = 6 * conj_s3.n
+    # W and Z: one projection and one table coordinate
+    assert gathers(rw.w_map(conj_s3)) == (lifts, lifts)
+    assert gathers(rw.z_map(conj_s3)) == (lifts, lifts)
+    # exp_e, cosh, sinh: each coordinate reads one input
+    for f in (rw.exp_map(conj_s3, 1), rw.cosh_map(ctx), rw.sinh_map(ctx)):
+        assert gathers(f) == (0, lifts)
 
 
 @pytest.mark.parametrize("call, error, message", [
