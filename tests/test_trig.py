@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import tables, trig
+from rackwork import census, tables, trig
 from rackwork.structures import AX_RIGHT_DISTRIB, WITNESS_CAP, _rack_laws
 
 
@@ -312,12 +312,16 @@ def law_named(laws, wanted):
     return next(law for name, _, law in laws if name == wanted)
 
 
-def test_trig_laws_with_a_free_base_point():
+@pytest.mark.parametrize("slab", [census._SLAB_CELLS, 1])
+def test_trig_laws_with_a_free_base_point(monkeypatch, slab):
     """Scanned with the base point b as a variable, as an atlas over base
     points scans them, the laws of _trig_laws fail exactly where
     check_trig_properties reports failures at e = b, with b prepended;
     sin-diamond is right self-distributivity with its last two variables
-    swapped; and _holds on a stack agrees with each structure's scans."""
+    swapped; and _holds on a stack agrees with each structure's scans.
+    The census that supplies the atlas runs with its default block bound
+    and with blocks of one structure each."""
+    monkeypatch.setattr(census, "_SLAB_CELLS", slab)
     structures = atlas_structures()
     for s in structures:
         n = s.n
