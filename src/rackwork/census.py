@@ -4,8 +4,9 @@ The searches build stacks of candidate tables, shape (m, n, n).  Rack dot
 tables have permutation rows (the cancellation axioms force that) and the
 diamond is derived from the dot as derive_diamond does; weak-rack
 candidates pair every left (dot) with every right (diamond)
-self-distributive table.  Every candidate is verified through the
-checkers' law lists and tables._holds, the pair laws first, so the census
+self-distributive table.  Every candidate is verified through tables._holds
+against the law list its kind claims (structures._KIND_LAWS): the pair
+laws, then the triple laws on the survivors, each once.  So the census
 states no law itself: the independent evidence is the unpruned oracles in
 the tests.
 
@@ -27,14 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierTooLarge
-from .structures import (RACK, WEAK_RACK, Structure, _rack_laws,
-                          _weak_rack_laws, max_carrier)
+from .structures import _KIND_LAWS, RACK, WEAK_RACK, Structure, max_carrier
 from .tables import OpTable, _by_value, _holds, _invert_rows
 
 RACK_ENUM_CAP = 4
 WEAK_ENUM_CAP = 3
 
-_SLAB_CELLS = 1 << 18  # bytes of int64 gather indices per census block
+# bytes of int64 gather indices per census block under the pair laws; the
+# triple laws on a block's survivors may take up to n times as many
+_SLAB_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +70,9 @@ def _blocks(m: int, cells: int):
     that a block's int64 gather indices take at most _SLAB_CELLS bytes.
     _SLAB_CELLS is the census's own bound, as _holds evaluates each law on
     a whole block at once, where tables._scan walks one head at a time.
-    Both census passes keep to it: candidate blocks cost n^2 cells per
-    pair under the pair laws, and _census verifies their survivors in
-    blocks of n^3 cells per pair."""
+    Candidate blocks cost n^2 cells per pair under the pair laws; the
+    triple laws, n^3 cells per pair, run on a block's survivors only, so
+    they take up to n times the bound when every candidate survives."""
     step = max(1, _SLAB_CELLS // 8 // cells)
     return (slice(i, i + step) for i in range(0, m, step))
 
@@ -90,27 +92,24 @@ def _fixed(d: np.ndarray, e: np.ndarray) -> int:
     return fixed
 
 
-def _census(n: int, kind: str, laws, candidates) -> EnumResult:
+def _census(n: int, kind: str, candidates) -> EnumResult:
     """The (dot, diamond) pairs of the candidate stacks that `candidates`
-    yields which pass every law of laws(dot, diamond), in their order:
-    _holds applies the pair laws (arity 2) to each candidate block first,
-    then the full list to the survivors, in _blocks of n^3 cells.
+    yields which pass every law that `kind` claims, in their order: on
+    each candidate block _holds applies the pair laws (arity 2), then the
+    triple laws to the survivors, each law once.
 
     The pairs are closed under relabeling, so by Burnside's lemma there are
     (the sum of _fixed over the verified blocks) / n! isomorphism classes;
     for racks the dot determines the diamond, so a permutation fixes the
     pair exactly when it fixes the dot."""
     found, fixed = [], 0
-    for dots, diamonds in candidates:
-        pair_laws = [law for law in laws(dots, diamonds) if law[1] == 2]
-        ok = _holds(pair_laws, n, len(dots))
-        dots, diamonds = dots[ok], diamonds[ok]
-        for blk in _blocks(len(dots), n ** 3):
-            d, e = dots[blk], diamonds[blk]
-            ok = _holds(laws(d, e), n, len(d))
+    for d, e in candidates:
+        for k in (2, 3):
+            laws = [law for law in _KIND_LAWS[kind](d, e) if law[1] == k]
+            ok = _holds(laws, n, len(d))
             d, e = d[ok], e[ok]
-            found.append((d, e))
-            fixed += _fixed(d, e)
+        found.append((d, e))
+        fixed += _fixed(d, e)
     # the trivial rack passes on every carrier, so `found` is not empty
     dots, diamonds = (np.concatenate(x) for x in zip(*found))
     dots.setflags(write=False)
@@ -179,7 +178,7 @@ def enumerate_racks(n: int) -> EnumResult:
     dots = _left_distributive_tables(n, permutation_rows=True)
     diamonds = _invert_rows(dots).astype(dots.dtype)
     blocks = _blocks(len(dots), n ** 2)
-    return _census(n, RACK, _rack_laws, ((dots[b], diamonds[b]) for b in blocks))
+    return _census(n, RACK, ((dots[b], diamonds[b]) for b in blocks))
 
 
 def enumerate_weak_racks(n: int) -> EnumResult:
@@ -201,4 +200,4 @@ def enumerate_weak_racks(n: int) -> EnumResult:
     pairs = ((np.repeat(dots[blk], len(diamonds), axis=0),
               np.tile(diamonds, (len(dots[blk]), 1, 1)))
              for blk in _blocks(len(dots), len(diamonds) * n ** 2))
-    return _census(n, WEAK_RACK, _weak_rack_laws, pairs)
+    return _census(n, WEAK_RACK, pairs)

@@ -155,16 +155,13 @@ def cmd_check(args) -> int:
     report = Report("check", args.json, args.all_witnesses, loaded.labels)
     report.set("kind", s.kind)
     report.set("n", s.n)
-    if s.kind == structures.RACK:
-        report.add_report("rack axioms", structures.check_rack_axioms(s))
-    elif s.kind == structures.WEAK_RACK:
-        report.add_report("weak-rack axioms",
-                          structures.check_weak_rack_axioms(s))
-    else:
+    if s.kind == structures.UNCHECKED:
         verdict, weak_rep = structures.classify(s)
         report.set("classified", verdict)
-        report.add("rack or weak-rack axioms", verdict != "neither",
-                   [w for _, w in weak_rep.failures])
+        report.add_report("rack or weak-rack axioms", weak_rep)
+    else:
+        report.add_report(f"{s.kind.replace('_', '-')} axioms",
+                          structures._axioms(s, s.kind))
     return report.emit()
 
 
@@ -444,7 +441,7 @@ def main(argv=None) -> int:
     except KindMismatch as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except RackworkError as exc:
+    except (RackworkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

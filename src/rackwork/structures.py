@@ -22,8 +22,7 @@ from .errors import (
     CarrierTooLarge, KindMismatch, RackworkError, SizeMismatch,
 )
 from .tables import (
-    GroupTable, OpTable, _at, _indices, _narrow, _scan, derive_diamond,
-    is_left_invertible,
+    GroupTable, OpTable, _at, _indices, _invert_rows, _narrow, _scan,
 )
 
 RACK = "rack"
@@ -150,17 +149,25 @@ def _hom(f, t1, t2):
     return lambda a, b: f[_at(t1, a, b)] != _at(t2, f[a], f[b])
 
 
+# the law list each verified kind claims
+_KIND_LAWS = {RACK: _rack_laws, WEAK_RACK: _weak_rack_laws}
+
+
+def _axioms(s: Structure, kind: str, cap: int = WITNESS_CAP) -> AxiomReport:
+    """The report of s on the law list that `kind` claims."""
+    laws = _KIND_LAWS[kind](s.dot.entries, s.diamond.entries)
+    return _report(laws, s.n, cap)
+
+
 def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustively test the four full-rack axioms (triple axioms over all
     n^3 triples, cancellation axioms over all n^2 pairs)."""
-    laws = _rack_laws(s.dot.entries, s.diamond.entries)
-    return _report(laws, s.n, max_witnesses)
+    return _axioms(s, RACK, max_witnesses)
 
 
 def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustively test the three weak-rack axioms."""
-    laws = _weak_rack_laws(s.dot.entries, s.diamond.entries)
-    return _report(laws, s.n, max_witnesses)
+    return _axioms(s, WEAK_RACK, max_witnesses)
 
 
 def _cancellation_report(s: Structure) -> AxiomReport:
@@ -185,12 +192,9 @@ def classify(s: Structure) -> tuple[str, AxiomReport]:
 
 
 def _verify_kind(s: Structure) -> None:
-    if s.kind == RACK:
-        rep = check_rack_axioms(s, max_witnesses=1)
-    elif s.kind == WEAK_RACK:
-        rep = check_weak_rack_axioms(s, max_witnesses=1)
-    else:
+    if s.kind not in _KIND_LAWS:
         return
+    rep = _axioms(s, s.kind, 1)
     if not rep.passed:
         axiom, wit = rep.failures[0]
         raise KindMismatch(f"claimed {s.kind} violates {axiom!r} at {wit}")
@@ -212,22 +216,16 @@ def conjugation_rack(g: GroupTable) -> Structure:
     """Rack on a group carrier: a.b = a b a^-1 and a<>b = b^-1 a b
     (the left argument conjugated by the right)."""
     m = g.mul.entries
-    inv = g.inv
-    rng = np.arange(g.n)
-    dot = m[m, inv[:, None]]                       # (a b) a^-1
-    t = m[inv[None, :], rng[:, None]]              # t[a, b] = b^-1 a
-    diamond = m[t, rng[None, :]]                   # (b^-1 a) b
-    return _from_arrays(dot, diamond, RACK)
+    dot = m[m, g.inv[:, None]]                     # (a b) a^-1
+    return _from_arrays(dot, _invert_rows(dot), RACK)
 
 
 def trivial_rack(n: int) -> Structure:
     """The self-dual rack with ab = b and a<>b = a."""
     if n < 1:
         raise SizeMismatch("carrier size must be positive")
-    rng = np.arange(_capped(n, "n"))
-    dot = np.tile(rng, (n, 1))
-    diamond = np.repeat(rng, n).reshape(n, n)
-    return _from_arrays(dot, diamond, RACK)
+    dot = np.tile(np.arange(_capped(n, "n")), (n, 1))
+    return _from_arrays(dot, _invert_rows(dot), RACK)
 
 
 def _boolean_carrier(k: int) -> int:
@@ -310,10 +308,3 @@ def check_morphism(f, s1: Structure, s2: Structure,
     )
     return _report(laws, s1.n, max_witnesses)
 
-
-def derived_diamond_matches(s: Structure) -> bool:
-    """In a rack the diamond table is forced by the dot table; check the
-    stored table equals the derived one."""
-    if not is_left_invertible(s.dot):
-        return False
-    return derive_diamond(s.dot) == s.diamond

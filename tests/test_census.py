@@ -412,3 +412,31 @@ def test_stacked_verdicts_match_the_axiom_checkers(case):
         # each structure as a batch of one
         assert [bool(_holds(laws(d[i:i + 1], e[i:i + 1]), n, 1)[0])
                 for i in range(len(pairs))] == expected
+
+
+@pytest.mark.parametrize("enumerate_, n", [(rw.enumerate_racks, 3),
+                                          (rw.enumerate_weak_racks, 2)])
+def test_each_census_law_runs_once(enumerate_, n, monkeypatch):
+    """Every law of the kind is evaluated once per candidate: the pair
+    laws on every candidate, the triple laws on the pair laws' survivors,
+    never the two arities in one call."""
+    calls = []
+    real_holds = census._holds
+
+    def spy(laws, n, m):
+        calls.append(([(name, k) for name, k, _ in laws], m))
+        return real_holds(laws, n, m)
+
+    monkeypatch.setattr(census, "_holds", spy)
+    res = enumerate_(n)
+    racks = enumerate_ is rw.enumerate_racks
+    tables = len(census._left_distributive_tables(n, permutation_rows=racks))
+    candidates = tables if racks else tables ** 2
+    sizes = {}
+    for laws, m in calls:
+        assert len({k for _, k in laws}) == 1
+        for law in laws:
+            sizes[law] = sizes.get(law, 0) + m
+    t = np.zeros((1, 1), dtype=int)
+    assert sizes == {(name, k): candidates if k == 2 else res.count
+                     for name, k, _ in census._KIND_LAWS[res.kind](t, t)}

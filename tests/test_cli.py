@@ -125,6 +125,15 @@ class TestMake:
         assert doc["kind"] == "rack"
         assert "verified" in err
 
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.json"
+        code, text, err = run(capsys, "make", "trivial", "--n", "2",
+                              "--out", str(out))
+        assert (code, text) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_group_file_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "notgroup.json"
         path.write_text(json.dumps({"n": 2, "mul": [[0, 0], [0, 0]]}))
@@ -508,6 +517,15 @@ class TestEnum:
         for f in files:
             loaded = fileio.load_structure(os.path.join(keep, f))
             assert rw.check_rack_axioms(loaded.structure).passed
+
+    def test_keep_on_a_file_is_exit_2(self, tmp_path, capsys):
+        keep = tmp_path / "kept"
+        keep.write_text("")
+        code, text, err = run(capsys, "enum", "--n", "2", "--keep", str(keep))
+        assert (code, text) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(keep) in err
+        assert keep.read_text() == ""
 
     def test_weak(self, capsys):
         code, text, _ = run(capsys, "enum", "--n", "2", "--weak")

@@ -209,6 +209,20 @@ class TestConjugationRack:
     def test_kind_verified(self, conj_s3):
         assert conj_s3.kind == rw.RACK
 
+    @pytest.mark.parametrize("group", ["s3_group", "z3_group"])
+    def test_tables_match_group_loops(self, request, group):
+        """a.b = a b a^-1 and a<>b = b^-1 a b, from the group's own table."""
+        g = request.getfixturevalue(group)
+        s = rw.conjugation_rack(g)
+
+        def mul(x, y):
+            return rw.apply(g.mul, x, y)
+
+        for a in range(g.n):
+            for b in range(g.n):
+                assert rw.apply(s.dot, a, b) == mul(mul(a, b), int(g.inv[a]))
+                assert rw.apply(s.diamond, a, b) == mul(mul(int(g.inv[b]), a), b)
+
 
 class TestBooleanWeakRacks:
     def test_implication_k1_truth_tables(self):
@@ -257,6 +271,14 @@ class TestTrivialAndDual:
         s = rw.trivial_rack(2)
         assert s.dot.tolist() == [[0, 1], [0, 1]]
         assert s.diamond.tolist() == [[0, 0], [1, 1]]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_trivial_tables_match_loops(self, n):
+        s = rw.trivial_rack(n)
+        for a in range(n):
+            for b in range(n):
+                assert rw.apply(s.dot, a, b) == b
+                assert rw.apply(s.diamond, a, b) == a
 
     def test_trivial_carrier_cap(self, monkeypatch):
         monkeypatch.delenv("RACKWORK_MAX_N", raising=False)
@@ -377,10 +399,9 @@ class TestKindVerification:
         assert s.kind == rw.UNCHECKED
 
     def test_diamond_is_derived_in_racks(self, fleet):
-        from rackwork.structures import derived_diamond_matches
         for name, s in fleet:
             if s.kind == rw.RACK:
-                assert derived_diamond_matches(s), name
+                assert rw.derive_diamond(s.dot) == s.diamond, name
 
     def test_left_translations_bijective_in_racks(self, fleet):
         for name, s in fleet:
@@ -406,10 +427,8 @@ def test_guards(call, error, message):
 
 
 def test_derived_diamond_needs_permutation_rows():
-    from rackwork.structures import derived_diamond_matches
-    s = rw.Structure(2, rw.make_op_table(2, [0] * 4),
-                     rw.make_op_table(2, [0] * 4), rw.UNCHECKED)
-    assert not derived_diamond_matches(s)
+    with pytest.raises(rw.NotLeftInvertible):
+        rw.derive_diamond(rw.make_op_table(2, [0] * 4))
 
 
 def _unchecked(dot, diamond):

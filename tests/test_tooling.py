@@ -113,3 +113,36 @@ def test_every_private_name_is_read():
     sources = {p.stem: p.read_text()
                for p in (ROOT / "src" / "rackwork").glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+LAW_BUILDERS = {"_rack_laws", "_weak_rack_laws"}
+
+
+def law_builder_reads(source: str) -> list[str]:
+    """The kind law builders a module imports, reads or reaches as an
+    attribute, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in LAW_BUILDERS]
+        elif isinstance(node, ast.Name) and node.id in LAW_BUILDERS:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in LAW_BUILDERS:
+            found.append(node.attr)
+    return sorted(found)
+
+
+def test_the_law_builder_check_finds_each_form():
+    source = ("from .structures import _rack_laws as r\n"
+              "from . import structures\n"
+              "structures._weak_rack_laws(d, e)\n_rack_laws\n")
+    assert law_builder_reads(source) == ["_rack_laws", "_rack_laws",
+                                         "_weak_rack_laws"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted((ROOT / "src" / "rackwork").glob("*.py"))
+             if p.name != "structures.py"], ids=lambda p: p.name)
+def test_only_structures_reads_the_law_builders(path):
+    """Other modules reach a kind's laws through structures._KIND_LAWS."""
+    assert law_builder_reads(path.read_text()) == []
