@@ -17,6 +17,16 @@ from . import census, euler, fileio, matseries, structures, trig, ybe
 from .errors import InvalidFile, KindMismatch, RackworkError
 
 
+def _write(text: str) -> None:
+    """Write text to stdout and flush it; a closed pipe points stdout at
+    os.devnull, so the final flush stays quiet and the exit code is kept."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 class Report:
     """Accumulates named check verdicts plus free-form data, then renders
     as text or JSON.  The exit code is 0 iff every check passed."""
@@ -77,21 +87,21 @@ class Report:
                 "data": self.data,
                 "notes": self.notes,
             }
-            print(json.dumps(doc, indent=2))
+            _write(json.dumps(doc, indent=2) + "\n")
             return code
-        print(f"command: {self.command}")
-        for key, value in self.data.items():
-            print(f"{key} = {value}")
+        lines = [f"command: {self.command}"]
+        lines += [f"{key} = {value}" for key, value in self.data.items()]
         section = "main"
         for c in self.checks:
             if c["section"] != section:
                 section = c["section"]
-                print(f"-- {section} --")
+                lines.append(f"-- {section} --")
             tag = "pass" if c["passed"] else "FAIL"
-            print(f"[{tag}] {c['name']}{self._witness_text(c['witnesses'])}")
-        for text in self.notes:
-            print(f"note: {text}")
-        print(f"result: {'PASS' if self.ok else 'FAIL'}")
+            lines.append(
+                f"[{tag}] {c['name']}{self._witness_text(c['witnesses'])}")
+        lines += [f"note: {text}" for text in self.notes]
+        lines.append(f"result: {'PASS' if self.ok else 'FAIL'}")
+        _write("\n".join(lines) + "\n")
         return code
 
 
@@ -144,7 +154,7 @@ def cmd_make(args) -> int:
         report.set("out", args.out)
         return report.emit()
     # without --out the file body itself goes to stdout, verdict to stderr
-    sys.stdout.write(text)
+    _write(text)
     print(f"{s.kind} on {s.n} elements (verified)", file=sys.stderr)
     return 0
 
@@ -167,16 +177,12 @@ def cmd_check(args) -> int:
 
 def _context_from_args(args):
     """The trig context of the structure file, and the command's report
-    headed by the kind and the base points e, o, pi, u.  A file tagged
-    rack must pass the cancellation laws (O(n^2)) to be reported as one;
-    else it is unusable input."""
+    headed by its verified kind and the base points e, o, pi, u."""
     loaded = fileio.load_structure(args.file)
-    if loaded.structure.kind == structures.RACK:
-        cancel = structures._cancellation_report(loaded.structure)
-        if not cancel.passed:
-            axiom, wit = cancel.failures[0]
-            raise InvalidFile(
-                f"{args.file}: claimed rack violates {axiom!r} at {wit}")
+    try:
+        structures._verify_kind(loaded.structure)
+    except KindMismatch as exc:
+        raise InvalidFile(f"{args.file}: {exc}") from exc
     ctx = trig.make_trig_context(loaded.structure, args.e, args.o)
     report = Report(args.command, args.json, args.all_witnesses, loaded.labels)
     report.set("kind", ctx.s.kind)
@@ -188,26 +194,20 @@ def _context_from_args(args):
 def cmd_trig(args) -> int:
     ctx, report = _context_from_args(args)
     trep = trig.check_trig_properties(ctx)
-    for prop in trep.main:
-        report.add(prop.name, prop.passed, prop.witnesses)
-    for prop in trep.rack_only:
+    for prop in trep.main + trep.rack_only:
         report.add(prop.name, prop.passed, prop.witnesses,
-                   section="full-rack-only")
+                   "full-rack-only" if prop.rack_only else "main")
     return report.emit()
 
 
 def cmd_euler(args) -> int:
     ctx, report = _context_from_args(args)
     erep = euler.check_euler_formula(ctx)
-    clauses = {euler.EULER_FORMULA: [], euler.EULER_IDENTITY: []}
-    for name, w in erep.failures:
-        clauses[name].append(w)
-    identity_section = ("full-rack-only"
-                        if euler.euler_identity_is_rack_only(ctx) else "main")
-    report.add(euler.EULER_FORMULA, not clauses[euler.EULER_FORMULA],
-               clauses[euler.EULER_FORMULA])
-    report.add(euler.EULER_IDENTITY, not clauses[euler.EULER_IDENTITY],
-               clauses[euler.EULER_IDENTITY], section=identity_section)
+    rack_only = euler.euler_identity_is_rack_only(ctx)
+    for name in (euler.EULER_FORMULA, euler.EULER_IDENTITY):
+        wits = [w for clause, w in erep.failures if clause == name]
+        report.add(name, not wits, wits, "full-rack-only"
+                   if rack_only and name == euler.EULER_IDENTITY else "main")
 
     report.add("exp_e = cosh o sinh = sinh o cosh",
                euler.check_hyperbolic_factorization(ctx))
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_make("dual", help="opposite structure of a structure file")
     sp.add_argument("file")
     sp = add_make("trig-derived",
-                  help="rack with ab = cos b, a<>b = sin a over a rack file")
+                  help="rack with ab = cos b, a<>b = sin a at base point e")
     sp.add_argument("file")
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--o", type=int, required=True)
@@ -435,6 +435,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        _write("")  # flush the help text
         return int(exc.code or 0)
     try:
         return args.func(args)

@@ -145,8 +145,8 @@ def _weak_rack_laws(d, e):
 
 def _hom(f, t1, t2):
     """f(a t1 b) = f(a) t2 f(b) for an int64 map f and narrowed tables t1
-    on its domain and t2 on its codomain."""
-    return lambda a, b: f[_at(t1, a, b)] != _at(t2, f[a], f[b])
+    on its domain and t2 on its codomain; t1 stands for t1[a, b]."""
+    return lambda a, b: f[t1] != _at(t2, f[a], f[b])
 
 
 # the law list each verified kind claims
@@ -170,12 +170,6 @@ def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> Ax
     return _axioms(s, WEAK_RACK, max_witnesses)
 
 
-def _cancellation_report(s: Structure) -> AxiomReport:
-    """The first failure, if any, of each cancellation law on s: O(n^2)."""
-    laws = _cancellation(_narrow(s.dot.entries), _narrow(s.diamond.entries))
-    return _report(laws, s.n, 1)
-
-
 def classify(s: Structure) -> tuple[str, AxiomReport]:
     """The strongest kind s satisfies (RACK, WEAK_RACK or "neither") and
     its weak-rack report.
@@ -187,11 +181,13 @@ def classify(s: Structure) -> tuple[str, AxiomReport]:
     weak = check_weak_rack_axioms(s)
     if not weak.passed:
         return "neither", weak
-    cancel = _cancellation_report(s)
+    cancel = _report(_cancellation(_narrow(s.dot.entries),
+                                   _narrow(s.diamond.entries)), s.n, 1)
     return (RACK if cancel.passed else WEAK_RACK), weak
 
 
 def _verify_kind(s: Structure) -> None:
+    """Raise KindMismatch at the first failure of the laws s.kind claims."""
     if s.kind not in _KIND_LAWS:
         return
     rep = _axioms(s, s.kind, 1)

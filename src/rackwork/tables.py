@@ -8,6 +8,7 @@ immutable after construction and safe to share.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,10 @@ def _scan(law, n: int, k: int, cap: int, heads=None) -> list[tuple[int, ...]]:
     `law` takes k arguments and returns a failure mask.  It is called once
     per head, a tuple of leading variable values given as plain ints, with
     _grids for the remaining variables, and its mask is over those
-    variables alone.  The heads are (a,) for each first value a unless the
-    caller lists its own, which must be in lexicographic order.  A subterm
-    over the trailing variables in axis order is the table itself: write
+    variables alone.  The heads walk all variables but the last two (one
+    call for k <= 2, n for k = 3) unless the caller lists its own, which
+    must be in lexicographic order.  A subterm over the last two
+    variables in axis order is the table itself: write
     d[a, d], not d[a, d[b, c]], so that it is not gathered again for every
     head.  Laws gather with _at from tables passed through _narrow; a
     column against a row takes _at's outer form, with no n x n index.
@@ -125,7 +127,9 @@ def _scan(law, n: int, k: int, cap: int, heads=None) -> list[tuple[int, ...]]:
     if cap < 1:
         raise SizeMismatch(f"max_witnesses must be at least 1, got {cap}")
     found: list[tuple[int, ...]] = []
-    for head in ([(a,) for a in range(n)] if heads is None else heads):
+    if heads is None:
+        heads = itertools.product(range(n), repeat=max(k - 2, 0))
+    for head in heads:
         bad = law(*head, *_grids(n, k - len(head)))
         if not bad.any():
             continue

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, KindMismatch
+from .errors import IndexOutOfRange
 from .structures import (
     RACK, WEAK_RACK, WITNESS_CAP, Structure, _cancellation, _compat,
     _from_arrays, _left_distrib,
@@ -163,13 +163,9 @@ def check_trig_properties(ctx: TrigContext,
 
 
 def trig_derived_rack(ctx: TrigContext) -> Structure:
-    """The rack with ab = cos b and a<>b = sin a.  Only valid over a full
-    rack, where cos and sin are mutually inverse; the result is verified."""
-    if ctx.s.kind != RACK:
-        raise KindMismatch(
-            "derived rack construction needs a full rack, got "
-            f"{ctx.s.kind!r}"
-        )
+    """The rack with ab = cos b and a<>b = sin a, verified: a rack exactly
+    when cos and sin at e are mutually inverse, as on every full rack (its
+    self-distributive laws hold for any cos and sin)."""
     n = ctx.s.n
     dot = np.tile(cos_table(ctx), (n, 1))         # row a is cos, ignores a
     diamond = np.repeat(sin_table(ctx), n).reshape(n, n)  # column b is sin

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CarrierMismatch, IndexOutOfRange
 from .structures import WITNESS_CAP, AxiomReport, Structure, _report
-from .tables import _at, _narrow
+from .tables import _at, _grids, _narrow
 from .euler import PairMap, exp_map, pair_map_from_components
 
 POSITIONS = (12, 13, 23)
@@ -74,8 +74,9 @@ def _apply_lift(comps, positions, state):
 def _coordinate(c: np.ndarray):
     """Output coordinate c[u, v] of a pair map as a function of the input
     grids u and v that gathers only what c reads: the input itself for a
-    projection, an n-vector indexed by the one input read, else the table.
-    An int input (the walked first variable) stays an int through a vector.
+    projection, an n-vector indexed by the one input read, else the table,
+    which on _scan's last two grids, as R23 reads them, is itself.  An int
+    input (the walked first variable) stays an int through a vector.
     """
     # k = 0: c[u, v] = c[u, 0] for every v; k = 1: c[u, v] = c[0, v]
     for k, vec in enumerate((c[:, 0], c[0])):
@@ -86,7 +87,8 @@ def _coordinate(c: np.ndarray):
             return lambda *uv: (int(vec[uv[k]]) if type(uv[k]) is int
                                 else vec.take(uv[k]))
     t = _narrow(c)
-    return lambda u, v: _at(t, u, v)
+    y, z = _grids(len(c), 2)
+    return lambda u, v: t if u is y and v is z else _at(t, u, v)
 
 
 def _components(f: PairMap):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -141,6 +142,26 @@ class TestMake:
                            "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert "error" in err
+
+    def test_trig_derived_over_weak_rack_with_inverse_cos_and_sin(
+            self, tmp_path, capsys):
+        # dot = diamond = min: cos and sin at e = 1 are the identity, at
+        # e = 0 they are constant
+        path = tmp_path / "min.json"
+        path.write_text(json.dumps({"kind": "weak_rack", "n": 2,
+                                    "dot": [[0, 0], [0, 1]],
+                                    "diamond": [[0, 0], [0, 1]]}))
+        out = tmp_path / "d.json"
+        code, _, _ = run(capsys, "make", "trig-derived", str(path),
+                         "--e", "1", "--o", "0", "--out", str(out))
+        assert code == 0
+        assert fileio.load_structure(str(out)).structure == rw.trivial_rack(2)
+        code, text, err = run(capsys, "make", "trig-derived", str(path),
+                              "--e", "0", "--o", "0",
+                              "--out", str(tmp_path / "e.json"))
+        assert (code, text, err) == (
+            1, "", "verification failed: claimed rack violates "
+                   "'(ab) diamond a = b' at (0, 1)\n")
 
     def test_trig_derived_over_weak_rack_is_exit_1(self, tmp_path, capsys):
         b = str(tmp_path / "b.json")
@@ -314,10 +335,29 @@ class TestTrigEuler:
         assert (code, out) == (2, "")
         assert err == (f"error: {path}: claimed rack violates "
                        "'(ab) diamond a = b' at (1, 0)\n")
-        # the same tables tagged weak_rack are reported, not rejected
+        # tagged weak_rack, the same tables fail the compatibility law
         path.write_text(json.dumps(dict(doc, kind="weak_rack")))
-        code, out, _ = run(capsys, command, str(path), "--e", "0", "--o", "0")
-        assert code in (0, 1) and "kind = weak_rack" in out
+        code, out, err = run(capsys, command, str(path), "--e", "0", "--o", "0")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: claimed weak_rack violates "
+                       "'(ab) diamond a = a(b diamond a)' at (1, 0)\n")
+
+    @pytest.mark.parametrize("command", ["trig", "euler"])
+    def test_rack_tag_failing_left_distributivity_is_exit_2(
+            self, tmp_path, capsys, command):
+        # cancellation holds, a(bc) = (ab)(ac) fails at (2, 1, 1)
+        path = tmp_path / "mistagged.json"
+        path.write_text(json.dumps({
+            "kind": "rack", "n": 3,
+            "dot": [[0, 1, 2], [0, 1, 2], [0, 2, 1]],
+            "diamond": [[0, 0, 0], [1, 1, 2], [2, 2, 1]]}))
+        code, out, err = run(capsys, command, str(path), "--e", "0", "--o", "0")
+        assert (code, out, err) == (
+            2, "", f"error: {path}: claimed rack violates "
+                   "'a(bc) = (ab)(ac)' at (2, 1, 1)\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, err) == (1, "")
+        assert "[FAIL] rack axioms  witness (2, 1, 1) (+7 more)\n" in out
 
 
 class TestYbeSystem:
@@ -603,6 +643,32 @@ class TestCliPlumbing:
         fileio.save_structure(out2, loaded.structure, loaded.labels)
         with open(out1, "rb") as a, open(out2, "rb") as b:
             assert a.read() == b.read()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""],
+                             ids=["unbuffered", "buffered"])
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, unbuffered):
+        """A reader that closed the pipe before the run writes changes
+        neither the exit code nor stderr."""
+        good, bad = str(tmp_path / "good.json"), str(tmp_path / "bad.json")
+        fileio.save_structure(good, rw.trivial_rack(3))
+        fileio.save_structure(bad, rw.Structure(
+            2, *[rw.make_op_table(2, [0] * 4)] * 2, rw.RACK))
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        for argv, code, err in (
+                (["check", good], 0, ""), (["check", bad], 1, ""),
+                (["check", good, "--json"], 0, ""), (["--help"], 0, ""),
+                (["make", "trivial", "--n", "3"], 0,
+                 "rack on 3 elements (verified)\n")):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "rackwork.cli", *argv],
+                    stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                    check=False)
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (code, err), argv
 
     def test_console_script_entry(self, tmp_path):
         """The installed module is runnable as a subprocess."""

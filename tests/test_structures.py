@@ -7,6 +7,7 @@ import rackwork as rw
 from rackwork.structures import (
     AX_CANCEL_OUT, AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT,
 )
+from rackwork.tables import _scan
 
 from conftest import S3_ELEMS, compose, invert
 
@@ -112,9 +113,23 @@ def add_mod(n):
 
 
 class TestSlabbedScans:
-    """_scan walks each law one first value at a time.  The digests pin
-    witness lists that one evaluation of each law over its whole domain
-    also gives."""
+    """_scan walks every variable of a law but the last two: a triple law
+    one first value at a time, a law of one or two variables in one call.
+    The digests pin witness lists that one evaluation of each law over its
+    whole domain also gives."""
+
+    @pytest.mark.parametrize("k, calls", [(1, 1), (2, 1), (3, 5)])
+    def test_default_heads_walk_all_but_the_last_two(self, k, calls):
+        n = 5
+        seen = []
+
+        def law(*values):
+            seen.append(tuple(type(v) is int for v in values))
+            return np.False_
+
+        assert _scan(law, n, k, 1) == []
+        # an int per walked variable, then a grid per remaining one
+        assert seen == [(True,) * (k - 2) + (False,) * min(k, 2)] * calls
 
     def test_slab_path_matches_direct_path(self, conj_s3, monkeypatch):
         broken = rw.Structure(3, add_mod(3), add_mod(3), rw.UNCHECKED)

@@ -140,9 +140,36 @@ def test_the_law_builder_check_finds_each_form():
                                          "_weak_rack_laws"]
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in sorted((ROOT / "src" / "rackwork").glob("*.py"))
-             if p.name != "structures.py"], ids=lambda p: p.name)
+NOT_STRUCTURES = [p for p in sorted((ROOT / "src" / "rackwork").glob("*.py"))
+                  if p.name != "structures.py"]
+
+
+@pytest.mark.parametrize("path", NOT_STRUCTURES, ids=lambda p: p.name)
 def test_only_structures_reads_the_law_builders(path):
     """Other modules reach a kind's laws through structures._KIND_LAWS."""
     assert law_builder_reads(path.read_text()) == []
+
+
+def kind_mismatch_raises(source: str) -> list[int]:
+    """The lines that raise KindMismatch, by name or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "KindMismatch":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_kind_mismatch_check_finds_each_form():
+    source = ("raise KindMismatch('x')\nraise errors.KindMismatch\n"
+              "raise InvalidFile('y') from KindMismatch\n"
+              "try:\n    f()\nexcept KindMismatch:\n    raise\n")
+    assert kind_mismatch_raises(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", NOT_STRUCTURES, ids=lambda p: p.name)
+def test_only_structures_raises_kind_mismatch(path):
+    """Only the kind table refuses a kind: other modules verify a tag
+    through structures, which raises for them."""
+    assert kind_mismatch_raises(path.read_text()) == []

@@ -181,9 +181,21 @@ class TestDerivedRack:
         assert all(row == rows[0] for row in rows)
 
     def test_rejected_over_weak_rack(self):
+        # cos x = 1 | x is constant, so the result fails cancellation
         s = rw.boolean_weak_rack_lattice(1)
         with pytest.raises(rw.KindMismatch):
             rw.trig_derived_rack(rw.make_trig_context(s, 1, 0))
+
+    def test_a_rack_over_a_weak_rack_with_inverse_cos_and_sin(self):
+        # dot = diamond = min: cos and sin at e = 1 are the identity
+        t = rw.make_op_table(2, [0, 0, 0, 1])
+        s = rw.make_structure(t, t, rw.WEAK_RACK)
+        d = rw.trig_derived_rack(rw.make_trig_context(s, 1, 0))
+        assert d == rw.trivial_rack(2)
+        with pytest.raises(rw.KindMismatch) as exc:
+            rw.trig_derived_rack(rw.make_trig_context(s, 0, 0))
+        assert str(exc.value) == ("claimed rack violates "
+                                  "'(ab) diamond a = b' at (0, 1)")
 
 
 @st.composite

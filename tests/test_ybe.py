@@ -328,9 +328,13 @@ def test_only_two_input_coordinates_gather_a_table(conj_s3, monkeypatch):
     ctx = rw.make_trig_context(conj_s3, 1, 4)
     # six lifts per walked first value
     lifts = 6 * conj_s3.n
-    # W and Z: one projection and one table coordinate
-    assert gathers(rw.w_map(conj_s3)) == (lifts, lifts)
-    assert gathers(rw.z_map(conj_s3)) == (lifts, lifts)
+    # W and Z: one projection and one table coordinate, which an R23 lift
+    # reads as the table itself on the scan's own grids (y, z): the left
+    # word's first lift, and for Z also the right word's last, since Z's
+    # R12 and R13 leave y and z as they are
+    n = conj_s3.n
+    assert gathers(rw.w_map(conj_s3)) == (5 * n, lifts)
+    assert gathers(rw.z_map(conj_s3)) == (4 * n, lifts)
     # exp_e, cosh, sinh: each coordinate reads one input
     for f in (rw.exp_map(conj_s3, 1), rw.cosh_map(ctx), rw.sinh_map(ctx)):
         assert gathers(f) == (0, lifts)
