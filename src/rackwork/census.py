@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CarrierTooLarge
 from .structures import _KIND_LAWS, RACK, WEAK_RACK, Structure, max_carrier
-from .tables import OpTable, _by_value, _holds, _invert_rows
+from .tables import OpTable, _at, _by_value, _grids, _holds, _invert_rows
 
 RACK_ENUM_CAP = 4
 WEAK_ENUM_CAP = 3
@@ -72,7 +72,9 @@ def _blocks(m: int, cells: int):
     a whole block at once, where tables._scan walks one head at a time.
     Candidate blocks cost n^2 cells per pair under the pair laws; the
     triple laws, n^3 cells per pair, run on a block's survivors only, so
-    they take up to n times the bound when every candidate survives."""
+    they take up to n times the bound when every candidate survives.  The
+    search of _left_distributive_tables blocks its partial tables at n^4
+    cells apiece, n children of n^3 instances each."""
     step = max(1, _SLAB_CELLS // 8 // cells)
     return (slice(i, i + step) for i in range(0, m, step))
 
@@ -122,49 +124,36 @@ def _left_distributive_tables(n: int, permutation_rows: bool = False) -> np.ndar
     """Every n x n table with a(bc) = (ab)(ac), optionally only those whose
     rows are permutations, in lexicographic order.
 
-    Cell-by-cell backtracking in row-major order tests each instance
-    (a, b, c) once, as soon as the last cell it reads is filled: the cells
-    b.c, a.b and a.c are fixed by position, and once they are filled they
-    fix the two remaining cells, a.(bc) and (ab).(ac).
+    A breadth-first sweep fills the cells in row-major order on a stack of
+    partial tables, each (n+1) x (n+1): unfilled cells hold n, and so do
+    row n and column n, so a term that reads an unfilled cell is n.  At
+    each cell every kept table is extended by each value, parent-major,
+    and a child is dropped on a decided failure, an instance (a, b, c)
+    with a(bc) != (ab)(ac) where neither side is n.  Filled cells never
+    change, so a decided failure is final; after the last cell every
+    instance is decided, so the kept tables are exactly the left
+    self-distributive ones, in lexicographic order.  An instance whose a
+    or b lies past the current row reads an unfilled row, so the grids of
+    a and b stop there.
     """
-    cells = n * n
-    table = [0] * cells
-    # instances by the last of their positional cells
-    fixed_at = [[] for _ in range(cells)]
-    for a, b, c in itertools.product(range(n), repeat=3):
-        fixed_at[max(b * n + c, a * n + b, a * n + c)].append(
-            (a * n, b * n + c, a * n + b, a * n + c))
-    # the two other cells of each instance whose last cell is still empty
-    waiting = [[] for _ in range(cells)]
-    found = []
-
-    def fill(pos: int):
-        if pos == cells:
-            found.append(list(table))
-            return
-        for v in range(n):
-            if permutation_rows and v in table[pos - pos % n:pos]:
-                continue
-            table[pos] = v
-            if any(table[x] != table[y] for x, y in waiting[pos]):
-                continue
-            later = []
-            for row_a, bc, ab, ac in fixed_at[pos]:
-                x = row_a + table[bc]
-                y = table[ab] * n + table[ac]
-                if max(x, y) > pos:
-                    later.append((max(x, y), x, y))
-                elif table[x] != table[y]:
-                    break
-            else:
-                for last, x, y in later:
-                    waiting[last].append((x, y))
-                fill(pos + 1)
-                for last, _, _ in later:
-                    waiting[last].pop()
-
-    fill(0)
-    return np.array(found, dtype=np.min_scalar_type(n - 1)).reshape(-1, n, n)
+    tables = np.full((1, n + 1, n + 1), n, dtype=np.min_scalar_type(n))
+    values = np.arange(n, dtype=tables.dtype)
+    a, b, c = (g[:, None] for g in _grids(n, 3))
+    for r, col in itertools.product(range(n), repeat=2):
+        x, y = a[:r + 1], b[:, :, :r + 1]  # a and b on filled rows only
+        kept = []
+        # n children of n^3 instances apiece per parent
+        for blk in _blocks(len(tables), n ** 4):
+            t = np.repeat(tables[blk], n, axis=0)
+            t[:, r, col] = np.tile(values, len(t) // n)
+            if permutation_rows:
+                t = t[~(t[:, r, :col] == t[:, r, col, None]).any(axis=1)]
+            left = _at(t, x, _at(t, y, c))
+            right = _at(t, _at(t, x, y), _at(t, x, c))
+            bad = (left != right) & (np.maximum(left, right) < n)
+            kept.append(t[~bad.any(axis=(0, 2, 3))])
+        tables = np.concatenate(kept)
+    return tables[:, :n, :n].astype(np.min_scalar_type(n - 1))
 
 
 def enumerate_racks(n: int) -> EnumResult:

@@ -218,6 +218,9 @@ def cmd_euler(args) -> int:
 
 def cmd_ybe(args) -> int:
     if args.pairmap is not None:
+        if (args.file, args.map, args.e) != (None, None, None):
+            raise RackworkError(
+                "--pairmap takes no structure file, --map or --e")
         f = fileio.load_pair_map(args.pairmap)
         name = f"pair map from {args.pairmap}"
         labels = None

@@ -85,7 +85,8 @@ def _at(t: np.ndarray, i, j) -> np.ndarray:
 
     - stack, shape (m, n, n): structure s gathers from its own table, rows
       s*n .. s*n + n-1 of the stack's rows, and s runs along the batch axis
-      of _holds's grids;
+      of _holds's grids.  n is the table's row length, so the grids may
+      span fewer points than the tables, as in the census search;
     - int head: a plain int i, a head value that _scan walks, gathers from
       the row view;
     - outer: a column i, shape (k, 1), against a row j, shape (1, m), copies

@@ -209,6 +209,29 @@ class TestWeakRackEnumeration:
             rw.enumerate_weak_racks(4)
 
 
+@pytest.mark.parametrize("slab", [census._SLAB_CELLS, 1])
+def test_left_distributive_tables_across_blocks(monkeypatch, slab):
+    """The search returns the same array, in dtype, shape and bytes, with
+    its default block bound and with blocks of one table each."""
+    cases = [(n, False) for n in (1, 2, 3)] + [(n, True) for n in (1, 2, 3, 4)]
+    default = [census._left_distributive_tables(n, p) for n, p in cases]
+    monkeypatch.setattr(census, "_SLAB_CELLS", slab)
+    for (n, p), want in zip(cases, default):
+        got = census._left_distributive_tables(n, p)
+        assert (got.dtype, got.shape, got.tobytes()) == (
+            want.dtype, want.shape, want.tobytes()), (n, p)
+
+
+def test_four_point_shelves_pinned():
+    """The left self-distributive tables on 4 points, the dots that a weak
+    census on 4 points starts from: their number and the sha256 of their
+    bytes, taken from the cell-by-cell backtracking search."""
+    t = census._left_distributive_tables(4)
+    assert (t.shape, t.dtype, hashlib.sha256(t.tobytes()).hexdigest()) == (
+        (14067, 4, 4), np.uint8,
+        "75b8d3c2b0433758f13e1611885709392ead4e8d85636783e9aa8d6651d17dfe")
+
+
 def record_digest(structures):
     h = hashlib.sha256()
     for s in structures:

@@ -395,6 +395,19 @@ class TestYbeSystem:
         code, out, err = run(capsys, "ybe", *argv)
         assert (code, out, err) == (2, "", f"error: {line}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["FILE"], ["--map", "w"], ["--e", "0"]], ids=["file", "map", "e"])
+    def test_pairmap_with_other_input_is_exit_2(self, tmp_path, capsys,
+                                                conj_file, argv):
+        path = str(tmp_path / "id.json")
+        fileio.save_pair_map(path, rw.PairMap(2, [[x, y] for x in range(2)
+                                                  for y in range(2)]))
+        assert run(capsys, "ybe", "--pairmap", path)[0] == 0
+        argv = [conj_file if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, "ybe", *argv, "--pairmap", path)
+        assert (code, out, err) == (
+            2, "", "error: --pairmap takes no structure file, --map or --e\n")
+
     def test_pairmap_negative_fixture(self, tmp_path, capsys):
         import numpy as np
         path = tmp_path / "xor.json"
