@@ -5,7 +5,7 @@ tables have permutation rows (the cancellation axioms force that) and the
 diamond is derived from the dot as derive_diamond does; weak-rack
 candidates pair every left (dot) with every right (diamond)
 self-distributive table.  Every candidate is verified through tables._holds
-against the law list its kind claims (structures._KIND_LAWS): the pair
+against the laws its kind claims, selected from structures._laws: the pair
 laws, then the triple laws on the survivors, each once.  So the census
 states no law itself: the independent evidence is the unpruned oracles in
 the tests.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierTooLarge
-from .structures import _KIND_LAWS, RACK, WEAK_RACK, Structure, max_carrier
+from .structures import _KIND_LAWS, RACK, WEAK_RACK, Structure, _named, max_carrier
 from .tables import OpTable, _at, _by_value, _grids, _holds, _invert_rows
 
 RACK_ENUM_CAP = 4
@@ -107,7 +107,7 @@ def _census(n: int, kind: str, candidates) -> EnumResult:
     found, fixed = [], 0
     for d, e in candidates:
         for k in (2, 3):
-            laws = [law for law in _KIND_LAWS[kind](d, e) if law[1] == k]
+            laws = [law for law in _named(_KIND_LAWS[kind], d, e) if law[1] == k]
             ok = _holds(laws, n, len(d))
             d, e = d[ok], e[ok]
         found.append((d, e))

@@ -203,7 +203,7 @@ def cmd_trig(args) -> int:
 def cmd_euler(args) -> int:
     ctx, report = _context_from_args(args)
     erep = euler.check_euler_formula(ctx)
-    rack_only = euler.euler_identity_is_rack_only(ctx)
+    rack_only = ctx.s.kind == structures.WEAK_RACK
     for name in (euler.EULER_FORMULA, euler.EULER_IDENTITY):
         wits = [w for clause, w in erep.failures if clause == name]
         report.add(name, not wits, wits, "full-rack-only"

@@ -2,8 +2,9 @@
 
 For a structure with operations . and <>, the box product on pairs is
 (x,y)(u,v) = (x.u, v<>y), and for a base element a the exponential map is
-exp_a(x,y) = (a.x, y<>a).  It is a homomorphism for the box product, it
-factors as cosh o sinh = sinh o cosh with cosh(x,y) = (e.x, y) and
+exp_a(x,y) = (a.x, y<>a).  It is a homomorphism for the box product
+exactly when left and right self-distributivity hold at a; it factors as
+cosh o sinh = sinh o cosh with cosh(x,y) = (e.x, y) and
 sinh(x,y) = (x, y<>e), and on the diagonal it reproduces the trigonometric
 maps: exp_e(x,x) = (cos x, sin x), with exp_e(pi,pi) = (u, o) on full racks.
 """
@@ -15,9 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange
-from .structures import WEAK_RACK, WITNESS_CAP, AxiomReport, Structure
+from .structures import (
+    AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, WITNESS_CAP, AxiomReport, Structure,
+    _named,
+)
 from .tables import _by_value, _grids, _indices, _scan
-from .trig import P_COS_DOT, P_SIN_DIAMOND, TrigContext, _trig_laws
+from .trig import TrigContext
 
 # clause identifiers for check_euler_formula
 EULER_FORMULA = "exp_e(x,x) = (cos x, sin x)"
@@ -123,13 +127,11 @@ def check_exp_homomorphism(s: Structure, a: int,
         raise IndexOutOfRange(f"{a} outside carrier {s.n}")
     name = "exp_a((x,y)(u,v)) = exp_a(x,y) exp_a(u,v)"
 
-    # bad1[x, u]: a.(xu) vs (a.x)(a.u), cos(xu) = cos(x)cos(u) at b = a;
-    # bad2[y, v]: (v<>y)<>a vs (v<>a)<>(y<>a), the sin-diamond law at (v, y)
-    laws = {p: law for p, _, law in _trig_laws(s.dot.entries,
-                                               s.diamond.entries)}
+    # bad1[x, u]: a.(xu) vs (a.x)(a.u), left self-distributivity at a;
+    # bad2[y, v]: (v<>y)<>a vs (v<>a)<>(y<>a), right self-distributivity at a
     grids = _grids(s.n, 2)
-    bad1 = laws[P_COS_DOT](a, *grids)
-    bad2 = laws[P_SIN_DIAMOND](a, *grids).T
+    bad1, bad2 = (law(a, *grids) for _, _, law in _named(
+        (AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB), s.dot.entries, s.diamond.entries))
 
     # (x, y) fails somewhere iff row x of bad1 or row y of bad2 does: walk
     # only those heads, in lex order
@@ -163,7 +165,3 @@ def check_euler_formula(ctx: TrigContext,
 
     return AxiomReport(failures)
 
-
-def euler_identity_is_rack_only(ctx: TrigContext) -> bool:
-    """True when the identity clause sits in the full-rack-only section."""
-    return ctx.s.kind == WEAK_RACK

@@ -69,12 +69,12 @@ def _check_matrix(mat, n: int, what: str) -> None:
                  f"{what} entries must be integers in [0, {n - 1}]")
 
 
-def _check_labels(labels, n: int) -> None:
+def _check_labels(labels, n: int, path: str) -> None:
     if labels is None:
         return
     _require(isinstance(labels, list) and len(labels) == n
              and all(isinstance(s, str) for s in labels),
-             f"labels must be {n} strings")
+             f"{path}: labels must be {n} strings")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def load_structure(path: str) -> LoadedStructure:
     _check_matrix(doc.get("dot"), n, f"{path}: dot")
     _check_matrix(doc.get("diamond"), n, f"{path}: diamond")
     labels = doc.get("labels")
-    _check_labels(labels, n)
+    _check_labels(labels, n, path)
     s = Structure(
         n,
         OpTable(n, doc["dot"]),
@@ -141,7 +141,7 @@ def load_group(path: str) -> tuple[GroupTable, list[str] | None]:
     n = _carrier(doc, path)
     _check_matrix(doc.get("mul"), n, f"{path}: mul")
     labels = doc.get("labels")
-    _check_labels(labels, n)
+    _check_labels(labels, n, path)
     try:
         group = validate_group(OpTable(n, doc["mul"]))
     except RackworkError as exc:

@@ -7,7 +7,9 @@ and a companion written a<>b ("diamond").  Full racks satisfy
     (c<>b)<>a = (c<>a)<>(b<>a),
 
 weak racks keep both self-distributivities but replace the two cancellation
-laws by the single compatibility (ab)<>a = a(b<>a).  All checks here are
+laws by the single compatibility (ab)<>a = a(b<>a).  _laws states these
+and two more identities on rows of the dot and of the transposed diamond;
+kinds, trig, euler and the census select from it by name.  All checks are
 exhaustive over the finite carrier and report machine-readable witnesses.
 """
 
@@ -36,6 +38,8 @@ AX_CANCEL_OUT = "(ab) diamond a = b"
 AX_CANCEL_IN = "a(b diamond a) = b"
 AX_RIGHT_DISTRIB = "(c diamond b) diamond a = (c diamond a) diamond (b diamond a)"
 AX_WEAK_COMPAT = "(ab) diamond a = a(b diamond a)"
+AX_DOT_DIAMOND = "a(c diamond b) = (ac) diamond (ab)"
+AX_DIAMOND_DOT = "(bc) diamond a = (b diamond a)(c diamond a)"
 
 WITNESS_CAP = 32
 
@@ -104,43 +108,32 @@ class Structure:
             raise KindMismatch(f"unknown kind {self.kind!r}")
 
 
-def _left_distrib(d):
-    """a(bc) = (ab)(ac); d, narrowed, stands for d[b, c]."""
-    return lambda a, b, c: _at(d, a, d) != _at(d, _at(d, a, b), _at(d, a, c))
+def _endo(t, u):
+    """Row a of t is an endomorphism of u: t_a(u[b, c]) = u[t_a b, t_a c],
+    over (a, b, c), for narrowed tables or stacks t and u."""
+    return lambda a, b, c: _at(t, a, u) != _at(u, _at(t, a, b), _at(t, a, c))
 
 
-def _right_distrib(e):
-    """(c<>b)<>a = (c<>a)<>(b<>a) is a(bc) = (ab)(ac) for the operation
-    a, c -> c<>a, with the same (a, b, c): one kernel, the same witnesses."""
-    return _left_distrib(_narrow(np.swapaxes(e, -1, -2)))
+def _laws(d, e):
+    """The section's seven identities as (name, arity, law) on a dot table
+    d and a diamond table e, or on stacks of them (see tables._holds): the
+    four distributive laws say that rows of d and of the transposed diamond
+    t are endomorphisms of both operations, the pair laws compose them."""
+    d, t = _narrow(d), _narrow(np.swapaxes(e, -1, -2))
+    return ((AX_LEFT_DISTRIB, 3, _endo(d, d)),
+            (AX_DOT_DIAMOND, 3, _endo(d, t)),
+            (AX_DIAMOND_DOT, 3, _endo(t, d)),
+            (AX_RIGHT_DISTRIB, 3, _endo(t, t)),
+            (AX_CANCEL_OUT, 2, lambda a, b: _at(t, a, _at(d, a, b)) != b),
+            (AX_CANCEL_IN, 2, lambda a, b: _at(d, a, _at(t, a, b)) != b),
+            (AX_WEAK_COMPAT, 2, lambda a, b:
+             _at(t, a, _at(d, a, b)) != _at(d, a, _at(t, a, b))))
 
 
-def _cancellation(d, e):
-    """The two cancellation laws, (ab)<>a = b and a(b<>a) = b."""
-    return ((AX_CANCEL_OUT, 2, lambda a, b: _at(e, _at(d, a, b), a) != b),
-            (AX_CANCEL_IN, 2, lambda a, b: _at(d, a, _at(e, b, a)) != b))
-
-
-def _compat(d, e):
-    """(ab)<>a = a(b<>a), which weak racks keep in place of cancellation."""
-    return lambda a, b: _at(e, _at(d, a, b), a) != _at(d, a, _at(e, b, a))
-
-
-def _rack_laws(d, e):
-    """The four rack axioms as (name, arity, law) on a dot table d and a
-    diamond table e, or on stacks of them (see tables._holds)."""
-    d, e = _narrow(d), _narrow(e)
-    return ((AX_LEFT_DISTRIB, 3, _left_distrib(d)),
-            *_cancellation(d, e),
-            (AX_RIGHT_DISTRIB, 3, _right_distrib(e)))
-
-
-def _weak_rack_laws(d, e):
-    """The three weak-rack axioms, as _rack_laws gives the rack axioms."""
-    d, e = _narrow(d), _narrow(e)
-    return ((AX_LEFT_DISTRIB, 3, _left_distrib(d)),
-            (AX_WEAK_COMPAT, 2, _compat(d, e)),
-            (AX_RIGHT_DISTRIB, 3, _right_distrib(e)))
+def _named(names, d, e):
+    """The laws of _laws(d, e) called `names`, in that order."""
+    laws = {law[0]: law for law in _laws(d, e)}
+    return [laws[name] for name in names]
 
 
 def _hom(f, t1, t2):
@@ -149,13 +142,16 @@ def _hom(f, t1, t2):
     return lambda a, b: f[t1] != _at(t2, f[a], f[b])
 
 
-# the law list each verified kind claims
-_KIND_LAWS = {RACK: _rack_laws, WEAK_RACK: _weak_rack_laws}
+# the laws each verified kind claims, in report order
+_KIND_LAWS = {
+    RACK: (AX_LEFT_DISTRIB, AX_CANCEL_OUT, AX_CANCEL_IN, AX_RIGHT_DISTRIB),
+    WEAK_RACK: (AX_LEFT_DISTRIB, AX_WEAK_COMPAT, AX_RIGHT_DISTRIB),
+}
 
 
 def _axioms(s: Structure, kind: str, cap: int = WITNESS_CAP) -> AxiomReport:
-    """The report of s on the law list that `kind` claims."""
-    laws = _KIND_LAWS[kind](s.dot.entries, s.diamond.entries)
+    """The report of s on the laws that `kind` claims."""
+    laws = _named(_KIND_LAWS[kind], s.dot.entries, s.diamond.entries)
     return _report(laws, s.n, cap)
 
 
@@ -181,8 +177,8 @@ def classify(s: Structure) -> tuple[str, AxiomReport]:
     weak = check_weak_rack_axioms(s)
     if not weak.passed:
         return "neither", weak
-    cancel = _report(_cancellation(_narrow(s.dot.entries),
-                                   _narrow(s.diamond.entries)), s.n, 1)
+    cancel = _report(_named((AX_CANCEL_OUT, AX_CANCEL_IN), s.dot.entries,
+                            s.diamond.entries), s.n, 1)
     return (RACK if cancel.passed else WEAK_RACK), weak
 
 

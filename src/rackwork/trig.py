@@ -1,17 +1,19 @@
 """Trigonometric maps on a structure with a chosen base pair.
 
 Given elements e and o of a structure, set pi = e.o and u = e.pi, and define
-cos x = e.x (left translation by e) and sin x = x<>e.  Five of the seven
-carrier-wide properties are axioms with a = e: cos(xy) = cos(x)cos(y) is
-a(bc) = (ab)(ac), sin(cos x) = x and cos(sin x) = x are the cancellation
-laws, the exchange law sin(cos x) = cos(sin x) is the weak-rack law
-(ab)<>a = a(b<>a), and sin(x<>y) = sin(x)<>sin(y) is right
-self-distributivity; _trig_laws lists all seven.  On a full rack, cos and
-sin are mutually inverse carrier bijections and homomorphisms for both
-operations; on weak racks only the exchange law is guaranteed.  The
-rack-only trio is exactly the cancellation laws at e (sin(pi) = o is
-sin(cos x) = x at x = o): still evaluated, but reported in a separate
-full-rack-only section.
+cos x = e.x (left translation by e) and sin x = x<>e.  The seven
+carrier-wide properties are the identities of structures._laws at a = e,
+where row a of the dot is cos and row a of the transposed diamond is sin:
+cos(xy) = cos(x)cos(y) is a(bc) = (ab)(ac), sin(xy) = sin(x)sin(y) is
+(bc)<>a = (b<>a)(c<>a), the two diamond-side properties are
+a(c<>b) = (ac)<>(ab) and right self-distributivity with their last two
+variables swapped, sin(cos x) = x and cos(sin x) = x are the cancellation
+laws, and the exchange law sin(cos x) = cos(sin x) is the weak-rack law
+(ab)<>a = a(b<>a).  On a full rack, cos and sin are mutually inverse
+carrier bijections and homomorphisms for both operations; on weak racks
+only the exchange law is guaranteed.  The rack-only trio is exactly the
+cancellation laws at e (sin(pi) = o is sin(cos x) = x at x = o): still
+evaluated, but reported in a separate full-rack-only section.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .structures import (
-    RACK, WEAK_RACK, WITNESS_CAP, Structure, _cancellation, _compat,
-    _from_arrays, _left_distrib,
+    AX_CANCEL_IN, AX_CANCEL_OUT, AX_DIAMOND_DOT, AX_DOT_DIAMOND,
+    AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT, RACK, WEAK_RACK,
+    WITNESS_CAP, Structure, _from_arrays, _named,
 )
-from .tables import _at, _narrow, _scan
+from .tables import _scan
 
 # property identifiers, used verbatim in reports
 P_COS_PI = "cos(pi) = u"
@@ -41,25 +44,27 @@ P_EXCHANGE = "sin(cos(x)) = cos(sin(x))"
 # these need the cancellation axioms; on weak racks they are informational
 RACK_ONLY_PROPERTIES = frozenset({P_SIN_PI, P_SIN_COS, P_COS_SIN})
 
+# each carrier-wide property, the law of structures._laws it is with the
+# base point as a, and whether its last two variables are swapped
+_TRIG = (
+    (P_COS_DOT, AX_LEFT_DISTRIB, False),
+    (P_COS_DIAMOND, AX_DOT_DIAMOND, True),
+    (P_SIN_DOT, AX_DIAMOND_DOT, False),
+    (P_SIN_DIAMOND, AX_RIGHT_DISTRIB, True),
+    (P_SIN_COS, AX_CANCEL_OUT, False),
+    (P_COS_SIN, AX_CANCEL_IN, False),
+    (P_EXCHANGE, AX_WEAK_COMPAT, False),
+)
+
 
 def _trig_laws(d, e):
-    """The carrier-wide properties as _rack_laws gives the rack axioms,
-    over (b, x[, y]) with b the base point: cos x = b.x, sin x = x<>b."""
-    d, e = _narrow(d), _narrow(e)
-    (_, _, sin_cos), (_, _, cos_sin) = _cancellation(d, e)
-    return (
-        (P_COS_DOT, 3, _left_distrib(d)),
-        (P_COS_DIAMOND, 3, lambda b, x, y:
-         _at(d, b, e) != _at(e, _at(d, b, x), _at(d, b, y))),
-        (P_SIN_DOT, 3, lambda b, x, y:
-         _at(e, d, b) != _at(d, _at(e, x, b), _at(e, y, b))),
-        # (c<>b)<>a = (c<>a)<>(b<>a) at (a, b, c) = (b, y, x)
-        (P_SIN_DIAMOND, 3, lambda b, x, y:
-         _at(e, e, b) != _at(e, _at(e, x, b), _at(e, y, b))),
-        (P_SIN_COS, 2, sin_cos),
-        (P_COS_SIN, 2, cos_sin),
-        (P_EXCHANGE, 2, _compat(d, e)),
-    )
+    """The carrier-wide properties as (name, arity, law) over (b, x[, y]),
+    b the base point, cos x = b.x and sin x = x<>b: the laws of _TRIG,
+    renamed, two with their last two variables swapped."""
+    laws = _named([ax for _, ax, _ in _TRIG], d, e)
+    return tuple((p, k, (lambda *v, f=law: f(*v).swapaxes(-1, -2))
+                  if swap else law)
+                 for (p, _, swap), (_, k, law) in zip(_TRIG, laws))
 
 
 @dataclass(frozen=True)
@@ -153,8 +158,8 @@ def check_trig_properties(ctx: TrigContext,
     found = [(P_COS_PI, [] if cos_pi == ctx.u else [(ctx.pi, cos_pi)]),
              (P_SIN_PI, [] if sin_pi == ctx.o else [(ctx.pi, sin_pi)])]
     for name, k, law in _trig_laws(s.dot.entries, s.diamond.entries):
-        wits = _scan(law, s.n, k, max_witnesses, heads=[(ctx.e,)])
-        found.append((name, [w[1:] for w in wits]))
+        found.append((name, _scan(lambda *v: law(ctx.e, *v), s.n, k - 1,
+                                  max_witnesses)))
     weak = s.kind == WEAK_RACK
     return TrigReport(tuple(
         PropertyCheck(name, not wits, tuple(wits),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import census, cli
-from rackwork.structures import _rack_laws, _weak_rack_laws
+from rackwork.structures import _KIND_LAWS, _named
 from rackwork.tables import _holds, _invert_rows
 
 
@@ -426,8 +426,9 @@ def test_stacked_verdicts_match_the_axiom_checkers(case):
     n, pairs = case
     structures = [rw.make_structure(rw.make_op_table(n, d), rw.make_op_table(n, e))
                   for d, e in pairs]
-    for laws, check in ((_rack_laws, rw.check_rack_axioms),
-                        (_weak_rack_laws, rw.check_weak_rack_axioms)):
+    for kind, check in ((rw.RACK, rw.check_rack_axioms),
+                        (rw.WEAK_RACK, rw.check_weak_rack_axioms)):
+        laws = functools.partial(_named, _KIND_LAWS[kind])
         expected = [check(s).passed for s in structures]
         d = stack([d for d, _ in pairs], n)
         e = stack([e for _, e in pairs], n)
@@ -462,4 +463,4 @@ def test_each_census_law_runs_once(enumerate_, n, monkeypatch):
             sizes[law] = sizes.get(law, 0) + m
     t = np.zeros((1, 1), dtype=int)
     assert sizes == {(name, k): candidates if k == 2 else res.count
-                     for name, k, _ in census._KIND_LAWS[res.kind](t, t)}
+                     for name, k, _ in _named(_KIND_LAWS[res.kind], t, t)}

@@ -143,6 +143,15 @@ class TestMake:
         assert code == 2
         assert "error" in err
 
+    def test_bad_group_labels_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 1, "mul": [[0]],
+                                    "labels": ["a", "b", "c"]}))
+        code, text, err = run(capsys, "make", "conj", "--group", str(path),
+                              "--out", str(tmp_path / "x.json"))
+        assert (code, text) == (2, "")
+        assert err == f"error: {path}: labels must be 1 strings\n"
+
     def test_trig_derived_over_weak_rack_with_inverse_cos_and_sin(
             self, tmp_path, capsys):
         # dot = diamond = min: cos and sin at e = 1 are the identity, at

@@ -174,7 +174,6 @@ class TestEulerFormula:
         rep = rw.check_euler_formula(ctx)
         names = [nm for nm, _ in rep.failures]
         assert names == [euler.EULER_IDENTITY]
-        assert euler.euler_identity_is_rack_only(ctx)
         # witness records pi and the actual output pair
         assert rep.failures[0][1] == (3, 3, 3)
 

@@ -238,7 +238,7 @@ def _malformed_files():
     case("structure", rw.InvalidFile, entries % "dot",
          dot=with_cells(rows, ((1, 0), True), ((1, 1), 5)),
          labels=["only-one"])
-    case("structure", rw.InvalidFile, "labels must be 3 strings",
+    case("structure", rw.InvalidFile, "{path}: labels must be 3 strings",
          labels=["a", "b", 3])
     case("structure", rw.InvalidFile,
          "{path}: kind must be one of ('rack', 'weak_rack', 'unchecked')",

@@ -11,6 +11,9 @@ unchecked structures with n <= 5:
 - cos(pi) = u, the Euler formula clause and the hyperbolic factorization
   hold on every pair of tables;
 - the Euler identity clause fails exactly when sin(pi) = o does.
+
+The axiom checkers themselves, and classify, are compared with plain loops
+over the tables' entries.
 """
 
 import functools
@@ -21,8 +24,11 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import euler, trig
-from rackwork.structures import _left_distrib, _right_distrib
-from rackwork.tables import _narrow, _scan
+from rackwork.structures import (
+    AX_CANCEL_IN, AX_CANCEL_OUT, AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB,
+    AX_WEAK_COMPAT, WITNESS_CAP, _named, classify,
+)
+from rackwork.tables import _scan
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,6 +64,12 @@ def _triples(n, bad):
     return [t for t in itertools.product(range(n), repeat=3) if bad(*t)]
 
 
+def _axiom(s, name):
+    """The witnesses of one law of structures._laws, uncapped."""
+    (_, k, law), = _named([name], s.dot.entries, s.diamond.entries)
+    return _scan(law, s.n, k, s.n ** 3)
+
+
 def _at_base(s, name, e):
     """The witnesses of one law of trig._trig_laws at b = e, b dropped."""
     (k, law), = [(k, law) for p, k, law in
@@ -70,7 +82,7 @@ def _at_base(s, name, e):
 def test_qybe_w_is_left_distributivity(case):
     s, _, _ = case
     got = _witnesses(rw.check_qybe(rw.w_map(s), s.n ** 3))
-    assert got == _scan(_left_distrib(_narrow(s.dot.entries)), s.n, 3, s.n ** 3)
+    assert got == _axiom(s, AX_LEFT_DISTRIB)
 
 
 @settings(max_examples=80, deadline=None)
@@ -78,7 +90,7 @@ def test_qybe_w_is_left_distributivity(case):
 def test_qybe_z_is_right_distributivity_reversed(case):
     s, _, _ = case
     got = _witnesses(rw.check_qybe(rw.z_map(s), s.n ** 3))
-    right = _scan(_right_distrib(s.diamond.entries), s.n, 3, s.n ** 3)
+    right = _axiom(s, AX_RIGHT_DISTRIB)
     assert got == sorted((c, b, a) for a, b, c in right)
 
 
@@ -132,3 +144,44 @@ def test_euler_identity_clause_is_sin_pi(case):
     assert (euler.EULER_IDENTITY in clauses) == (not sin_pi.passed)
     # and sin(pi) = o is sin(cos x) = x at x = o
     assert sin_pi.passed == ((o,) not in _at_base(s, trig.P_SIN_COS, e))
+
+
+def _loop_failures(s):
+    """Each axiom's witnesses on s by nested loops over its tables, in
+    lexicographic order, keyed by axiom name."""
+    n, d, e = s.n, s.dot.tolist(), s.diamond.tolist()
+    pairs = list(itertools.product(range(n), repeat=2))
+    triples = list(itertools.product(range(n), repeat=3))
+    return {
+        AX_LEFT_DISTRIB: [(a, b, c) for a, b, c in triples
+                          if d[a][d[b][c]] != d[d[a][b]][d[a][c]]],
+        AX_CANCEL_OUT: [(a, b) for a, b in pairs if e[d[a][b]][a] != b],
+        AX_CANCEL_IN: [(a, b) for a, b in pairs if d[a][e[b][a]] != b],
+        AX_WEAK_COMPAT: [(a, b) for a, b in pairs
+                         if e[d[a][b]][a] != d[a][e[b][a]]],
+        AX_RIGHT_DISTRIB: [(a, b, c) for a, b, c in triples
+                           if e[e[c][b]][a] != e[e[c][a]][e[b][a]]],
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(contexts())
+def test_axiom_witnesses_match_nested_loops(case):
+    s, _, _ = case
+    loops = _loop_failures(s)
+
+    def failures(names, cap):
+        return [(name, w) for name in names for w in loops[name][:cap]]
+
+    rack = (AX_LEFT_DISTRIB, AX_CANCEL_OUT, AX_CANCEL_IN, AX_RIGHT_DISTRIB)
+    weak = (AX_LEFT_DISTRIB, AX_WEAK_COMPAT, AX_RIGHT_DISTRIB)
+    cap = s.n ** 3
+    assert rw.check_rack_axioms(s, cap).failures == failures(rack, cap)
+    assert rw.check_weak_rack_axioms(s, cap).failures == failures(weak, cap)
+    kind, report = classify(s)
+    assert report.failures == failures(weak, WITNESS_CAP)
+    if report.failures:
+        assert kind == "neither"
+    else:
+        cancels = loops[AX_CANCEL_OUT] or loops[AX_CANCEL_IN]
+        assert kind == (rw.WEAK_RACK if cancels else rw.RACK)

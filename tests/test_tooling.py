@@ -115,11 +115,11 @@ def test_every_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
-LAW_BUILDERS = {"_rack_laws", "_weak_rack_laws"}
+LAW_BUILDERS = {"_endo", "_laws"}
 
 
 def law_builder_reads(source: str) -> list[str]:
-    """The kind law builders a module imports, reads or reaches as an
+    """The law builders a module imports, reads or reaches as an
     attribute, sorted."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -133,11 +133,10 @@ def law_builder_reads(source: str) -> list[str]:
 
 
 def test_the_law_builder_check_finds_each_form():
-    source = ("from .structures import _rack_laws as r\n"
+    source = ("from .structures import _laws as r\n"
               "from . import structures\n"
-              "structures._weak_rack_laws(d, e)\n_rack_laws\n")
-    assert law_builder_reads(source) == ["_rack_laws", "_rack_laws",
-                                         "_weak_rack_laws"]
+              "structures._endo(d, e)\n_laws\n")
+    assert law_builder_reads(source) == ["_endo", "_laws", "_laws"]
 
 
 NOT_STRUCTURES = [p for p in sorted((ROOT / "src" / "rackwork").glob("*.py"))
@@ -146,8 +145,42 @@ NOT_STRUCTURES = [p for p in sorted((ROOT / "src" / "rackwork").glob("*.py"))
 
 @pytest.mark.parametrize("path", NOT_STRUCTURES, ids=lambda p: p.name)
 def test_only_structures_reads_the_law_builders(path):
-    """Other modules reach a kind's laws through structures._KIND_LAWS."""
+    """Other modules select laws from structures._laws by name, through
+    structures._named and _KIND_LAWS."""
     assert law_builder_reads(path.read_text()) == []
+
+
+GATHERS = {"_at", "_narrow"}
+
+
+def gathers_imported(source: str) -> list[str]:
+    """The gathers of tables that state a law, as a module imports them
+    from tables or reaches them on it, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[-1] == "tables"):
+            found += [a.name for a in node.names if a.name in GATHERS]
+        elif (isinstance(node, ast.Attribute) and node.attr in GATHERS
+              and getattr(node.value, "id", None) == "tables"):
+            found.append(node.attr)
+    return sorted(found)
+
+
+def test_the_gather_import_check_finds_each_form():
+    source = ("from .tables import _at, _scan\n"
+              "from rackwork.tables import (\n    _narrow as nw,\n)\n"
+              "from .structures import _at\n"
+              "from . import tables\ntables._at(d, a, b)\n")
+    assert gathers_imported(source) == ["_at", "_at", "_narrow"]
+
+
+@pytest.mark.parametrize("name", ["trig.py", "euler.py"])
+def test_trig_and_euler_state_no_law(name):
+    """trig and euler select their laws from structures._laws, so they
+    gather from no table themselves."""
+    source = (ROOT / "src" / "rackwork" / name).read_text()
+    assert gathers_imported(source) == []
 
 
 def kind_mismatch_raises(source: str) -> list[int]:

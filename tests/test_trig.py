@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import census, tables, trig
-from rackwork.structures import AX_RIGHT_DISTRIB, WITNESS_CAP, _rack_laws
+from rackwork.structures import AX_RIGHT_DISTRIB, WITNESS_CAP, _laws
 
 
 class TestContext:
@@ -345,7 +345,7 @@ def test_trig_laws_with_a_free_base_point(monkeypatch, slab):
             pinned = [(b,) + w for b, rep in enumerate(reports)
                       for w in rep[name].witnesses]
             assert tables._scan(law, n, k, n ** k) == pinned, (s, name)
-        right = law_named(_rack_laws(s.dot.entries, s.diamond.entries),
+        right = law_named(_laws(s.dot.entries, s.diamond.entries),
                           AX_RIGHT_DISTRIB)
         assert sorted((a, c, b) for a, b, c in tables._scan(
             right, n, 3, n ** 3)) == tables._scan(
