@@ -31,8 +31,8 @@ class Report:
     """Accumulates named check verdicts plus free-form data, then renders
     as text or JSON.  The exit code is 0 iff every check passed."""
 
-    def __init__(self, command: str, json_mode: bool, all_witnesses: bool,
-                 labels=None):
+    def __init__(self, command: str, json_mode: bool,
+                 all_witnesses: bool = False, labels=None):
         self.command = command
         self.json_mode = json_mode
         self.all_witnesses = all_witnesses
@@ -54,8 +54,8 @@ class Report:
             "witnesses": [list(map(int, w)) for w in witnesses],
         })
 
-    def add_report(self, name: str, rep, section: str = "main"):
-        self.add(name, rep.passed, [w for _, w in rep.failures], section)
+    def add_report(self, name: str, rep):
+        self.add(name, rep.passed, [w for _, w in rep.failures])
 
     def set(self, key: str, value):
         self.data[key] = value
@@ -143,18 +143,16 @@ def cmd_make(args) -> int:
             labels = [f"({x},{y})" for x in loaded.labels
                       for y in loaded.labels]
 
-    text = fileio.structure_to_json(s, labels)
-    report = Report("make", args.json, args.all_witnesses, labels)
+    report = Report("make", args.json, labels=labels)
     report.add(f"constructed {s.kind} on {s.n} elements (verified)", True)
     report.set("kind", s.kind)
     report.set("n", s.n)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fileio.save_structure(args.out, s, labels)
         report.set("out", args.out)
         return report.emit()
     # without --out the file body itself goes to stdout, verdict to stderr
-    _write(text)
+    _write(fileio.structure_to_json(s, labels))
     print(f"{s.kind} on {s.n} elements (verified)", file=sys.stderr)
     return 0
 
@@ -286,7 +284,7 @@ def cmd_mat(args) -> int:
 
 def _mat_report(args) -> int:
     a = _parse_matrix(args.a)
-    report = Report("mat", args.json, args.all_witnesses)
+    report = Report("mat", args.json)
     d = matseries.det(a)
     if d != 1:
         report.set("det", str(d))
@@ -295,13 +293,12 @@ def _mat_report(args) -> int:
     report.add("det(A) = 1", True)
 
     result = matseries.trace_product_sum(a, args.n, with_oracle=args.brute)
+    fmt = _mat_json if args.json else _fmt_mat
     report.set("factors", [str(f) for f in result.factors])
     report.set("scalar", str(result.scalar))
     report.set("power_exponent", result.power_exponent)
-    report.set("power_matrix", _fmt_mat(result.power)
-               if not args.json else _mat_json(result.power))
-    report.set("closed_form", _fmt_mat(result.closed_form)
-               if not args.json else _mat_json(result.closed_form))
+    report.set("power_matrix", fmt(result.power))
+    report.set("closed_form", fmt(result.closed_form))
     # sum = scalar * power_matrix; the determinant of the power pins every
     # entry of a printed copy, so a transcription off by one is detectable
     report.add(f"det(A^{result.power_exponent}) = 1 "
@@ -312,15 +309,14 @@ def _mat_report(args) -> int:
             report.note(f"brute oracle unavailable for levels above "
                         f"{matseries.ORACLE_MAX_LEVEL}")
         else:
-            report.set("oracle", _fmt_mat(result.oracle)
-                       if not args.json else _mat_json(result.oracle))
+            report.set("oracle", fmt(result.oracle))
             equal = result.oracle_matches
             report.add("closed form EQUALS brute-force sum", bool(equal))
     return report.emit()
 
 
 def cmd_enum(args) -> int:
-    report = Report("enum", args.json, args.all_witnesses)
+    report = Report("enum", args.json)
     if args.weak:
         res = census.enumerate_weak_racks(args.n)
         what = "weak racks"
@@ -348,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report")
-    common.add_argument("--all-witnesses", action="store_true",
-                        help="print every collected witness, not just the first")
+    witnessed = argparse.ArgumentParser(add_help=False, parents=[common])
+    witnessed.add_argument(
+        "--all-witnesses", action="store_true",
+        help="print every collected witness, not just the first")
 
     parser = argparse.ArgumentParser(
         prog="rackwork",
@@ -387,19 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
                   help="box product of a structure file with its dual")
     sp.add_argument("file")
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[witnessed],
                        help="verify the axioms a structure file claims")
     p.add_argument("file")
     p.set_defaults(func=cmd_check)
 
     for name, fn in (("trig", cmd_trig), ("euler", cmd_euler)):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[witnessed])
         p.add_argument("file")
         p.add_argument("--e", type=int, required=True)
         p.add_argument("--o", type=int, required=True)
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("ybe", parents=[common],
+    p = sub.add_parser("ybe", parents=[witnessed],
                        help="quantum Yang-Baxter check for one pair map")
     p.add_argument("file", nargs="?")
     p.add_argument("--map", choices=("exp", "cosh", "sinh", "w", "z"))
@@ -407,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairmap", help="explicit pair-map JSON file")
     p.set_defaults(func=cmd_ybe)
 
-    p = sub.add_parser("system", parents=[common],
+    p = sub.add_parser("system", parents=[witnessed],
                        help="check the five-equation W/exp/Z system")
     p.add_argument("file")
     p.add_argument("--e", type=int, required=True)

@@ -20,8 +20,8 @@ from .structures import (
     AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, WITNESS_CAP, AxiomReport, Structure,
     _named,
 )
-from .tables import _by_value, _grids, _indices, _scan
-from .trig import TrigContext
+from .tables import _array, _by_value, _grids, _indices, _scan
+from .trig import TrigContext, cos_table, sin_table
 
 # clause identifiers for check_euler_formula
 EULER_FORMULA = "exp_e(x,x) = (cos x, sin x)"
@@ -36,7 +36,7 @@ class PairMap:
     out: np.ndarray  # shape (n*n, 2), read-only
 
     def __post_init__(self):
-        arr = np.array(self.out, order="C")
+        arr = _array(self.out)
         if arr.shape != (self.n * self.n, 2):
             raise IndexOutOfRange(
                 f"pair map needs shape ({self.n * self.n}, 2), got {arr.shape}"
@@ -98,14 +98,12 @@ def box_apply(s: Structure, p: tuple[int, int], q: tuple[int, int]) -> tuple[int
 
 def cosh_map(ctx: TrigContext) -> PairMap:
     """cosh(x, y) = (e.x, y)."""
-    return pair_map_from_components(ctx.s.dot.entries[ctx.e][:, None],
-                                    np.arange(ctx.s.n)[None, :])
+    return pair_map_from_components(cos_table(ctx)[:, None], np.arange(ctx.s.n))
 
 
 def sinh_map(ctx: TrigContext) -> PairMap:
     """sinh(x, y) = (x, y<>e)."""
-    return pair_map_from_components(np.arange(ctx.s.n)[:, None],
-                                    ctx.s.diamond.entries[:, ctx.e][None, :])
+    return pair_map_from_components(np.arange(ctx.s.n)[:, None], sin_table(ctx))
 
 
 def check_hyperbolic_factorization(ctx: TrigContext) -> bool:
@@ -134,9 +132,9 @@ def check_exp_homomorphism(s: Structure, a: int,
         (AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB), s.dot.entries, s.diamond.entries))
 
     # (x, y) fails somewhere iff row x of bad1 or row y of bad2 does: walk
-    # only those heads, in lex order
-    heads = [(int(x), int(y)) for x, y in
-             np.argwhere(bad1.any(1)[:, None] | bad2.any(1)[None, :])]
+    # only those heads, in lex order, each converted when the walk reaches it
+    heads = ((int(x), int(y)) for x, y in
+             np.argwhere(bad1.any(1)[:, None] | bad2.any(1)[None, :]))
     wits = _scan(lambda x, y, u, v: bad1[x][u] | bad2[y][v],
                  s.n, 4, max_witnesses, heads)
     return AxiomReport([(name, w) for w in wits])
@@ -151,8 +149,7 @@ def check_euler_formula(ctx: TrigContext,
     on sin(pi) = o, so reporting tools present it as full-rack-only there.
     """
     s = ctx.s
-    cos = s.dot.entries[ctx.e]
-    sin = s.diamond.entries[:, ctx.e]
+    cos, sin = cos_table(ctx), sin_table(ctx)
     ex = exp_map(s, ctx.e)
     c1, c2 = ex.components()
     failures = [(EULER_FORMULA, w) for w in _scan(

@@ -11,6 +11,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidFile, RackworkError
 from .euler import PairMap
 from .structures import KINDS, Structure, _capped
@@ -59,7 +61,8 @@ def _indices(values: list, n: int) -> bool:
             and min(values) >= 0 and max(values) < n)
 
 
-def _check_matrix(mat, n: int, what: str) -> None:
+def _matrix(mat, n: int, what: str) -> np.ndarray:
+    """mat as int64, if it lists n rows of n indices in [0, n-1]."""
     _require(isinstance(mat, list) and len(mat) == n,
              f"{what} must be a list of {n} rows")
     for row in mat:
@@ -67,14 +70,15 @@ def _check_matrix(mat, n: int, what: str) -> None:
                  f"{what} rows must have length {n}")
         _require(_indices(row, n),
                  f"{what} entries must be integers in [0, {n - 1}]")
+    return np.array(mat, dtype=np.int64)
 
 
-def _check_labels(labels, n: int, path: str) -> None:
-    if labels is None:
-        return
-    _require(isinstance(labels, list) and len(labels) == n
-             and all(isinstance(s, str) for s in labels),
+def _labels(doc: dict, n: int, path: str) -> list[str] | None:
+    labels = doc.get("labels")
+    _require(labels is None or (isinstance(labels, list) and len(labels) == n
+             and all(isinstance(s, str) for s in labels)),
              f"{path}: labels must be {n} strings")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -109,16 +113,10 @@ def load_structure(path: str) -> LoadedStructure:
     kind = doc.get("kind")
     _require(kind in KINDS, f"{path}: kind must be one of {KINDS}")
     n = _carrier(doc, path)
-    _check_matrix(doc.get("dot"), n, f"{path}: dot")
-    _check_matrix(doc.get("diamond"), n, f"{path}: diamond")
-    labels = doc.get("labels")
-    _check_labels(labels, n, path)
-    s = Structure(
-        n,
-        OpTable(n, doc["dot"]),
-        OpTable(n, doc["diamond"]),
-        kind,
-    )
+    dot = _matrix(doc.get("dot"), n, f"{path}: dot")
+    diamond = _matrix(doc.get("diamond"), n, f"{path}: diamond")
+    labels = _labels(doc, n, path)
+    s = Structure(n, OpTable(n, dot), OpTable(n, diamond), kind)
     return LoadedStructure(structure=s, labels=labels)
 
 
@@ -139,11 +137,10 @@ def load_group(path: str) -> tuple[GroupTable, list[str] | None]:
     """Read a multiplication table and validate it as a group on load."""
     doc = _read_json(path)
     n = _carrier(doc, path)
-    _check_matrix(doc.get("mul"), n, f"{path}: mul")
-    labels = doc.get("labels")
-    _check_labels(labels, n, path)
+    mul = _matrix(doc.get("mul"), n, f"{path}: mul")
+    labels = _labels(doc, n, path)
     try:
-        group = validate_group(OpTable(n, doc["mul"]))
+        group = validate_group(OpTable(n, mul))
     except RackworkError as exc:
         raise InvalidFile(f"{path}: not a group table: {exc}") from exc
     return group, labels
@@ -169,4 +166,4 @@ def load_pair_map(path: str) -> PairMap:
     _require(set(map(type, out)) == {list} and set(map(len, out)) == {2}
              and _indices(list(itertools.chain.from_iterable(out)), n),
              f"{path}: out entries must be pairs of indices in [0, {n - 1}]")
-    return PairMap(n, out)
+    return PairMap(n, np.array(out, dtype=np.int64))

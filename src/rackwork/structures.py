@@ -24,7 +24,7 @@ from .errors import (
     CarrierTooLarge, KindMismatch, RackworkError, SizeMismatch,
 )
 from .tables import (
-    GroupTable, OpTable, _at, _indices, _invert_rows, _narrow, _scan,
+    GroupTable, OpTable, _array, _at, _indices, _invert_rows, _narrow, _scan,
 )
 
 RACK = "rack"
@@ -81,10 +81,10 @@ class AxiomReport:
         return not self.failures
 
 
-def _report(laws, n: int, cap: int) -> AxiomReport:
-    """Scan each (name, arity, law) in turn, up to cap witnesses apiece."""
-    failures = [(name, w) for name, k, law in laws for w in _scan(law, n, k, cap)]
-    return AxiomReport(failures)
+def _failures(laws, n: int, cap: int):
+    """(name, witness) for each (name, arity, law) in turn, up to cap
+    witnesses apiece, lazily: a law is scanned once those before it are read."""
+    return ((name, w) for name, k, law in laws for w in _scan(law, n, k, cap))
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ _KIND_LAWS = {
 def _axioms(s: Structure, kind: str, cap: int = WITNESS_CAP) -> AxiomReport:
     """The report of s on the laws that `kind` claims."""
     laws = _named(_KIND_LAWS[kind], s.dot.entries, s.diamond.entries)
-    return _report(laws, s.n, cap)
+    return AxiomReport(list(_failures(laws, s.n, cap)))
 
 
 def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
@@ -177,18 +177,17 @@ def classify(s: Structure) -> tuple[str, AxiomReport]:
     weak = check_weak_rack_axioms(s)
     if not weak.passed:
         return "neither", weak
-    cancel = _report(_named((AX_CANCEL_OUT, AX_CANCEL_IN), s.dot.entries,
-                            s.diamond.entries), s.n, 1)
-    return (RACK if cancel.passed else WEAK_RACK), weak
+    cancel = _named((AX_CANCEL_OUT, AX_CANCEL_IN), s.dot.entries,
+                    s.diamond.entries)
+    return (WEAK_RACK if any(_failures(cancel, s.n, 1)) else RACK), weak
 
 
 def _verify_kind(s: Structure) -> None:
     """Raise KindMismatch at the first failure of the laws s.kind claims."""
     if s.kind not in _KIND_LAWS:
         return
-    rep = _axioms(s, s.kind, 1)
-    if not rep.passed:
-        axiom, wit = rep.failures[0]
+    laws = _named(_KIND_LAWS[s.kind], s.dot.entries, s.diamond.entries)
+    for axiom, wit in _failures(laws, s.n, 1):  # the first failure, if any
         raise KindMismatch(f"claimed {s.kind} violates {axiom!r} at {wit}")
 
 
@@ -288,7 +287,7 @@ def check_morphism(f, s1: Structure, s2: Structure,
                    max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Check that f: carrier(s1) -> carrier(s2) respects both operations:
     f(a.b) = f(a).f(b) and f(a<>b) = f(a)<>f(b) over all pairs."""
-    F = np.asarray(list(f))
+    F = _array(list(f))
     if F.shape != (s1.n,):
         raise SizeMismatch(f"map must list {s1.n} images, got shape {F.shape}")
     F = _indices(F, s2.n, "map images")
@@ -298,5 +297,5 @@ def check_morphism(f, s1: Structure, s2: Structure,
         ("f(a diamond b) = f(a) diamond f(b)", 2,
          _hom(F, _narrow(s1.diamond.entries), _narrow(s2.diamond.entries))),
     )
-    return _report(laws, s1.n, max_witnesses)
+    return AxiomReport(list(_failures(laws, s1.n, max_witnesses)))
 

@@ -32,7 +32,7 @@ def _freeze(arr, dtype=np.int64) -> np.ndarray:
 
 
 def _indices(arr, n: int, what: str) -> np.ndarray:
-    """A record's carrier indices, an array the caller made with np.array
+    """A record's carrier indices, an array the caller made with _array
     from its input, as read-only int64 if its entries are integers in
     [0, n-1].  Signed and unsigned integers are accepted; bool, float, str
     and object entries (Python ints beyond 64 bits load as object) raise
@@ -43,6 +43,16 @@ def _indices(arr, n: int, what: str) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise IndexOutOfRange(f"{what} must lie in [0, {n - 1}]")
     arr.setflags(write=False)
+    return arr
+
+
+def _array(values) -> np.ndarray:
+    """np.array(values) in C order, but of dtype bool if values is a list
+    with a bool among integers, which np.array would read as 0 or 1."""
+    arr = np.array(values, order="C")
+    if arr.dtype.kind in "iu" and not isinstance(values, np.ndarray):
+        if bool in set(map(type, np.array(values, dtype=object).flat)):
+            return arr.astype(bool)
     return arr
 
 
@@ -169,7 +179,7 @@ class OpTable:
     def __post_init__(self):
         if self.n < 1:
             raise SizeMismatch(f"carrier size must be positive, got {self.n}")
-        ent = np.array(self.entries, order="C")
+        ent = _array(self.entries)
         if ent.shape != (self.n, self.n):
             raise SizeMismatch(
                 f"expected {self.n}x{self.n} table, got shape {ent.shape}"
@@ -190,7 +200,7 @@ def make_op_table(n: int, entries) -> OpTable:
         raise SizeMismatch(f"carrier size must be positive, got {n}")
     if len(flat) != n * n:
         raise SizeMismatch(f"expected {n * n} entries, got {len(flat)}")
-    return OpTable(n, np.asarray(flat).reshape(n, n))
+    return OpTable(n, _array(flat).reshape(n, n))
 
 
 def apply(t: OpTable, a: int, b: int) -> int:
@@ -233,8 +243,12 @@ class GroupTable:
     inv: np.ndarray  # shape (n,), read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "inv", _indices(np.array(self.inv), self.n,
-                                                 "inverses"))
+        inv = _array(self.inv)
+        if self.mul.n != self.n or inv.shape != (self.n,):
+            raise SizeMismatch(f"a group of order {self.n} needs a {self.n}-"
+                               f"point mul and {self.n} inverses")
+        _indices(_array([self.identity]), self.n, "identity")
+        object.__setattr__(self, "inv", _indices(inv, self.n, "inverses"))
 
     __eq__ = _by_value
 

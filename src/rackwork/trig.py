@@ -153,8 +153,7 @@ def check_trig_properties(ctx: TrigContext,
     (pi, actual value) as the witness, then the laws of _trig_laws at
     b = e, exhaustively over the carrier or its pairs."""
     s = ctx.s
-    cos_pi = int(s.dot.entries[ctx.e, ctx.pi])
-    sin_pi = int(s.diamond.entries[ctx.pi, ctx.e])
+    cos_pi, sin_pi = t_cos(ctx, ctx.pi), t_sin(ctx, ctx.pi)
     found = [(P_COS_PI, [] if cos_pi == ctx.u else [(ctx.pi, cos_pi)]),
              (P_SIN_PI, [] if sin_pi == ctx.o else [(ctx.pi, sin_pi)])]
     for name, k, law in _trig_laws(s.dot.entries, s.diamond.entries):

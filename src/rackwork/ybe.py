@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierMismatch, IndexOutOfRange
-from .structures import WITNESS_CAP, AxiomReport, Structure, _report
+from .structures import WITNESS_CAP, AxiomReport, Structure, _failures
 from .tables import _at, _grids, _narrow
 from .euler import PairMap, exp_map, pair_map_from_components
 
@@ -113,7 +113,7 @@ def _equation_report(name, word, n, max_witnesses):
                 bad = bad | (p != q)
         return bad
 
-    return _report([(name, 3, law)], n, max_witnesses)
+    return AxiomReport(list(_failures([(name, 3, law)], n, max_witnesses)))
 
 
 def check_qybe(f: PairMap, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
@@ -163,10 +163,7 @@ class SystemReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in (
-            self.qybe_w, self.qybe_x, self.qybe_z,
-            self.mixed_wxx, self.mixed_xxz,
-        ))
+        return all(r.passed for _, r in self.named())
 
     def named(self) -> list[tuple[str, AxiomReport]]:
         return [
@@ -183,10 +180,8 @@ def check_yb_system(s: Structure, e: int,
     """Check the full system with W = w_map, X = exp_e, Z = z_map:
     QYBE for each of W, X, Z plus the two mixed equations
     X23 X13 W12 = W12 X13 X23 and X12 X13 Z23 = Z23 X13 X12."""
-    if not 0 <= e < s.n:
-        raise IndexOutOfRange(f"{e} outside carrier {s.n}")
+    x = exp_map(s, e)  # also checks e against the carrier
     w = w_map(s)
-    x = exp_map(s, e)
     z = z_map(s)
     return SystemReport(
         qybe_w=check_qybe(w, max_witnesses),

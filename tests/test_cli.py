@@ -540,6 +540,15 @@ class TestMat:
         assert json.loads(text)["data"]["power_matrix"] == [
             [str(power.a), str(power.b)], [str(power.c), str(power.d)]]
 
+    def test_without_the_int_digit_limit_functions(self, capsys, monkeypatch):
+        # Python 3.10.0-3.10.6 lack both, and cmd_mat then sets no limit
+        argv = ("mat", "--a", "1,-2,-1,3", "--n", "4", "--brute", "--json")
+        want = run(capsys, *argv)
+        assert want[0] == 0 and want[2] == ""
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert run(capsys, *argv) == want
+
     @pytest.mark.parametrize("json_mode", [False, True])
     def test_level_nine_prints_the_exact_closed_form(self, capsys, json_mode):
         # entries of the level-9 sum run past the interpreter's default
@@ -607,6 +616,33 @@ class TestEnum:
 
 
 class TestCliPlumbing:
+    @pytest.mark.parametrize("argv", [
+        ["make", "trivial", "--n", "2"],
+        ["make", "conj", "--group", "g.json"],
+        ["make", "boolean", "--atoms", "1", "--variant", "lattice"],
+        ["make", "dual", "s.json"],
+        ["make", "trig-derived", "s.json", "--e", "0", "--o", "0"],
+        ["make", "product-dual", "s.json"],
+        ["mat", "--a", "1,0,0,1", "--n", "1"],
+        ["enum", "--n", "1"],
+    ])
+    def test_all_witnesses_without_witnesses_is_exit_2(self, capsys, argv):
+        code, text, err = run(capsys, *argv, "--all-witnesses")
+        assert (code, text) == (2, "")
+        assert "unrecognized arguments: --all-witnesses" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "s.json"],
+        ["trig", "s.json", "--e", "0", "--o", "0"],
+        ["euler", "s.json", "--e", "0", "--o", "0"],
+        ["ybe", "s.json", "--map", "w"],
+        ["system", "s.json", "--e", "0"],
+    ])
+    def test_all_witnesses_on_the_checking_commands(self, argv):
+        parser = cli.build_parser()
+        assert parser.parse_args([*argv, "--all-witnesses"]).all_witnesses
+        assert not parser.parse_args(argv).all_witnesses
+
     def test_unknown_command_is_exit_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

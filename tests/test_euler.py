@@ -95,6 +95,27 @@ class TestExpHomomorphism:
                 assert rep.passed == (not expected)
             assert expected or a == 0
 
+    def test_heads_reach_the_walk_as_an_iterator(self, monkeypatch):
+        # on densely failing tables the walk stops at its first head, so
+        # the heads are not all converted up front
+        rng = np.random.default_rng(3)
+        n = 16
+        s = rw.Structure(n, rw.OpTable(n, rng.integers(0, n, (n, n))),
+                         rw.OpTable(n, rng.integers(0, n, (n, n))),
+                         rw.UNCHECKED)
+        walks = []
+        real_scan = euler._scan
+
+        def spy(law, n, k, cap, heads=None):
+            walks.append(heads)
+            return real_scan(law, n, k, cap, heads)
+
+        monkeypatch.setattr(euler, "_scan", spy)
+        rep = rw.check_exp_homomorphism(s, 0)
+        assert len(rep.failures) == euler.WITNESS_CAP
+        [heads] = walks
+        assert iter(heads) is heads
+
     def test_exhaustive_witness_on_broken_structure(self):
         # dot = XOR with diamond chosen to break right self-distributivity
         dot = rw.make_op_table(2, [0, 1, 1, 0])

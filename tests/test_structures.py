@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rackwork as rw
+from rackwork import structures
 from rackwork.structures import (
     AX_CANCEL_OUT, AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT,
 )
@@ -85,6 +86,25 @@ class TestWeakRackAxioms:
         assert not rep.passed
         compat = [w for ax, w in rep.failures if ax == AX_WEAK_COMPAT]
         assert compat == [(1, 0), (1, 1)]
+
+
+def _tables(s):
+    return s.dot.entries, s.diamond.entries
+
+
+def scanned(monkeypatch):
+    """A list that gets (arity, witnesses) of every law scanned through
+    structures._scan from now on."""
+    scans = []
+    real_scan = structures._scan
+
+    def spy(law, n, k, cap):
+        found = real_scan(law, n, k, cap)
+        scans.append((k, found))
+        return found
+
+    monkeypatch.setattr(structures, "_scan", spy)
+    return scans
 
 
 def walked(monkeypatch, check, narrowed):
@@ -422,6 +442,41 @@ class TestKindVerification:
         for name, s in fleet:
             if s.kind == rw.RACK:
                 assert rw.is_left_invertible(s.dot), name
+
+    @pytest.mark.parametrize("kind, dot, diamond, first", [
+        # random tables break left self-distributivity, the first weak law
+        pytest.param(rw.WEAK_RACK, *np.random.default_rng(5).integers(
+            0, 6, (2, 6, 6)), 0, id="random"),
+        # a weak rack that is no rack fails a cancellation law, the second
+        pytest.param(rw.RACK, *_tables(rw.boolean_weak_rack_implication(2)),
+                     1, id="implication"),
+        # or / xor: the compatibility fails, and so does the third law
+        pytest.param(rw.WEAK_RACK, [[0, 1], [1, 1]], [[0, 1], [1, 0]], 1,
+                     id="or-xor"),
+    ])
+    def test_verify_kind_scans_no_law_after_the_first_failure(
+            self, monkeypatch, kind, dot, diamond, first):
+        s = rw.Structure(len(dot), rw.OpTable(len(dot), dot),
+                         rw.OpTable(len(dot), diamond), kind)
+        axiom, wit = structures._axioms(s, kind, 1).failures[0]
+        assert axiom == structures._KIND_LAWS[kind][first]
+        scans = scanned(monkeypatch)
+        with pytest.raises(rw.KindMismatch) as exc:
+            structures._verify_kind(s)
+        assert str(exc.value) == f"claimed {kind} violates {axiom!r} at {wit}"
+        assert len(scans) == first + 1 and scans[-1][1]
+
+    def test_classify_stops_at_the_first_failing_cancellation_law(
+            self, monkeypatch):
+        s = rw.boolean_weak_rack_implication(2)
+        assert not rw.check_rack_axioms(s).passed
+        scans = scanned(monkeypatch)
+        verdict, weak = structures.classify(s)
+        assert verdict == rw.WEAK_RACK and weak.passed
+        # the three weak-rack laws, then (ab) diamond a = b, which fails;
+        # a(b diamond a) = b is never scanned
+        assert [(k, bool(found)) for k, found in scans] == [
+            (3, False), (2, False), (3, False), (2, True)]
 
 
 @pytest.mark.parametrize("call, error, message", [

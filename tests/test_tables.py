@@ -206,8 +206,8 @@ def test_op_table_equality():
 
 def _records():
     """Per by-value record type: a record, an equal copy built from fresh
-    arrays, records that differ from it in one field, and a value of
-    another type."""
+    arrays, records that differ from it in one field (a group's order
+    only with its table), and a value of another type."""
     xor = rw.make_op_table(2, XOR)
     flip = rw.make_op_table(2, [0, 1, 1, 1])  # one entry of xor differs
     g = rw.validate_group(xor)
@@ -218,7 +218,8 @@ def _records():
                     [flip, rw.make_op_table(1, [0])], xor.entries),
         "GroupTable": (g, rw.GroupTable(2, rw.make_op_table(2, XOR), 0,
                                         g.inv.copy()),
-                       [replace(g, n=3), replace(g, mul=flip),
+                       [rw.validate_group(rw.make_op_table(1, [0])),
+                        replace(g, mul=flip),
                         replace(g, identity=1), replace(g, inv=[1, 0])],
                        g.mul),
         "Structure": (s, rw.Structure(2, rw.OpTable(2, s.dot.entries.copy()),
@@ -383,10 +384,41 @@ def test_guards(call, message):
     pytest.param(lambda: rw.check_morphism([False, True], rw.trivial_rack(2),
                                            rw.trivial_rack(2)),
                  id="morphism-bool"),
+    # a bool among integers, which np.array alone reads as 0 or 1
+    pytest.param(lambda: rw.OpTable(2, [[True, 0], [0, 1]]),
+                 id="optable-bool-among-ints"),
+    pytest.param(lambda: rw.make_op_table(2, [True, 0, 0, 1]),
+                 id="make-bool-among-ints"),
+    pytest.param(lambda: rw.PairMap(2, [[True, 0], [0, 1], [1, 0], [1, 1]]),
+                 id="pairmap-bool-among-ints"),
+    pytest.param(lambda: rw.GroupTable(2, rw.make_op_table(2, XOR), 0,
+                                       [False, 1]), id="group-bool-among-ints"),
+    pytest.param(lambda: rw.GroupTable(2, rw.make_op_table(2, XOR), False,
+                                       [0, 1]), id="group-bool-identity"),
+    pytest.param(lambda: rw.check_morphism([True, 0], rw.trivial_rack(2),
+                                           rw.trivial_rack(2)),
+                 id="morphism-bool-among-ints"),
 ])
 def test_non_integer_entries_are_rejected_not_truncated(call):
     with pytest.raises(rw.IndexOutOfRange, match="integers"):
         call()
+
+
+@pytest.mark.parametrize("n, identity, inv, error, message", [
+    pytest.param(2, 7, [0, 1], rw.IndexOutOfRange,
+                 "identity must lie in [0, 1]", id="identity"),
+    pytest.param(2, 7, [0], rw.SizeMismatch,
+                 "a group of order 2 needs a 2-point mul and 2 inverses",
+                 id="inverses"),
+    pytest.param(3, 0, [0, 1], rw.SizeMismatch,
+                 "a group of order 3 needs a 3-point mul and 3 inverses",
+                 id="order"),
+])
+def test_group_fields_must_fit_its_order(n, identity, inv, error, message):
+    mul = rw.make_op_table(2, XOR)
+    with pytest.raises(error) as exc:
+        rw.GroupTable(n, mul, identity, inv)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8,
