@@ -12,9 +12,14 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import census, euler, fileio, matseries, structures, trig, ybe
 from .errors import InvalidFile, KindMismatch, RackworkError
+
+# each command imports the modules it calls, so that a process loads numpy
+# only for a command that uses it
+if TYPE_CHECKING:
+    from . import matseries
 
 
 def _write(text: str) -> None:
@@ -116,6 +121,8 @@ def _mat_json(m: matseries.Mat2Q):
 # ---------------------------------------------------------------- commands
 
 def cmd_make(args) -> int:
+    from . import fileio, structures, trig
+
     labels = None
     if args.subkind == "trivial":
         s = structures.trivial_rack(args.n)
@@ -158,7 +165,11 @@ def cmd_make(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import fileio
+
     loaded = fileio.load_structure(args.file)
+    from . import structures  # after the load, which refuses non-JSON first
+
     s = loaded.structure
     report = Report("check", args.json, args.all_witnesses, loaded.labels)
     report.set("kind", s.kind)
@@ -176,6 +187,8 @@ def cmd_check(args) -> int:
 def _context_from_args(args):
     """The trig context of the structure file, and the command's report
     headed by its verified kind and the base points e, o, pi, u."""
+    from . import fileio, structures, trig
+
     loaded = fileio.load_structure(args.file)
     try:
         structures._verify_kind(loaded.structure)
@@ -190,6 +203,8 @@ def _context_from_args(args):
 
 
 def cmd_trig(args) -> int:
+    from . import trig
+
     ctx, report = _context_from_args(args)
     trep = trig.check_trig_properties(ctx)
     for prop in trep.main + trep.rack_only:
@@ -199,6 +214,8 @@ def cmd_trig(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from . import euler, structures
+
     ctx, report = _context_from_args(args)
     erep = euler.check_euler_formula(ctx)
     rack_only = ctx.s.kind == structures.WEAK_RACK
@@ -215,6 +232,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_ybe(args) -> int:
+    from . import euler, fileio, trig, ybe
+
     if args.pairmap is not None:
         if (args.file, args.map, args.e) != (None, None, None):
             raise RackworkError(
@@ -250,6 +269,8 @@ def cmd_ybe(args) -> int:
 
 
 def cmd_system(args) -> int:
+    from . import fileio, ybe
+
     loaded = fileio.load_structure(args.file)
     report = Report("system", args.json, args.all_witnesses, loaded.labels)
     report.set("e", report.elem(args.e))
@@ -260,6 +281,8 @@ def cmd_system(args) -> int:
 
 
 def _parse_matrix(text: str) -> matseries.Mat2Q:
+    from . import matseries
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise InvalidFile("matrix must be 4 comma-separated rationals p/q")
@@ -283,6 +306,8 @@ def cmd_mat(args) -> int:
 
 
 def _mat_report(args) -> int:
+    from . import matseries
+
     a = _parse_matrix(args.a)
     report = Report("mat", args.json)
     d = matseries.det(a)
@@ -316,6 +341,8 @@ def _mat_report(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    from . import census, fileio
+
     report = Report("enum", args.json)
     if args.weak:
         res = census.enumerate_weak_racks(args.n)

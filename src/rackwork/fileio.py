@@ -3,6 +3,9 @@
 The canonical form is the round-trip contract: a single JSON document,
 two-space indentation, keys in a fixed order, trailing newline.  Loading a
 canonically written file and re-serializing it reproduces the bytes.
+
+A loader reads and parses its file before it imports numpy or the modules
+that build records, so a file that is not JSON is refused without them.
 """
 
 from __future__ import annotations
@@ -10,13 +13,16 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidFile, RackworkError
-from .euler import PairMap
-from .structures import KINDS, Structure, _capped
-from .tables import GroupTable, OpTable, validate_group
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .euler import PairMap
+    from .structures import Structure
+    from .tables import GroupTable
 
 
 def _canonical(obj: dict) -> str:
@@ -39,6 +45,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _carrier(doc: dict, path: str) -> int:
+    from .structures import _capped
+
     n = doc.get("n")
     _require(type(n) is int and n >= 1, f"{path}: n must be a positive integer")
     return _capped(n, f"n of {path}")
@@ -63,6 +71,8 @@ def _indices(values: list, n: int) -> bool:
 
 def _matrix(mat, n: int, what: str) -> np.ndarray:
     """mat as int64, if it lists n rows of n indices in [0, n-1]."""
+    import numpy as np
+
     _require(isinstance(mat, list) and len(mat) == n,
              f"{what} must be a list of {n} rows")
     for row in mat:
@@ -110,6 +120,9 @@ def save_structure(path: str, s: Structure,
 
 def load_structure(path: str) -> LoadedStructure:
     doc = _read_json(path)
+    from .structures import KINDS, Structure
+    from .tables import OpTable
+
     kind = doc.get("kind")
     _require(kind in KINDS, f"{path}: kind must be one of {KINDS}")
     n = _carrier(doc, path)
@@ -136,6 +149,8 @@ def save_group(path: str, g: GroupTable,
 def load_group(path: str) -> tuple[GroupTable, list[str] | None]:
     """Read a multiplication table and validate it as a group on load."""
     doc = _read_json(path)
+    from .tables import OpTable, validate_group
+
     n = _carrier(doc, path)
     mul = _matrix(doc.get("mul"), n, f"{path}: mul")
     labels = _labels(doc, n, path)
@@ -159,6 +174,10 @@ def load_pair_map(path: str) -> PairMap:
     """Read an explicit pair map: n and a list of n^2 output pairs in
     (x, y) -> x*n + y input order."""
     doc = _read_json(path)
+    import numpy as np
+
+    from .euler import PairMap
+
     n = _carrier(doc, path)
     out = doc.get("out")
     _require(isinstance(out, list) and len(out) == n * n,

@@ -50,8 +50,11 @@ def _array(values) -> np.ndarray:
     """np.array(values) in C order, but of dtype bool if values is a list
     with a bool among integers, which np.array would read as 0 or 1."""
     arr = np.array(values, order="C")
-    if arr.dtype.kind in "iu" and not isinstance(values, np.ndarray):
-        if bool in set(map(type, np.array(values, dtype=object).flat)):
+    if (arr.ndim and arr.dtype.kind in "iu"
+            and not isinstance(values, np.ndarray)):
+        for _ in range(arr.ndim - 1):
+            values = itertools.chain.from_iterable(values)
+        if bool in set(map(type, values)):
             return arr.astype(bool)
     return arr
 

@@ -355,6 +355,8 @@ def test_scan_walks_only_the_heads_it_is_given():
                  "carrier size must be positive, got 0", id="optable-empty"),
     pytest.param(lambda: rw.OpTable(2, np.zeros((3, 3))),
                  "expected 2x2 table, got shape (3, 3)", id="optable-shape"),
+    pytest.param(lambda: rw.OpTable(1, 0),
+                 "expected 1x1 table, got shape ()", id="optable-scalar"),
     pytest.param(lambda: rw.make_op_table(0, []),
                  "carrier size must be positive, got 0", id="make-empty"),
 ])

@@ -54,9 +54,7 @@ def test_the_unused_import_check_finds_one():
     assert unused_imports(source) == ["os", "a"]
 
 
-# __init__.py is left out: it imports names to re-export them
-MODULES = sorted(p for p in (ROOT / "src" / "rackwork").glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted((ROOT / "src" / "rackwork").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -206,3 +204,61 @@ def test_only_structures_raises_kind_mismatch(path):
     """Only the kind table refuses a kind: other modules verify a tag
     through structures, which raises for them."""
     assert kind_mismatch_raises(path.read_text()) == []
+
+
+NUMPY_BACKED = {"numpy", "census", "euler", "structures", "tables", "trig",
+                "ybe"}
+
+
+def numpy_backed_imports(source: str) -> list[str]:
+    """The numpy-backed modules a module imports as it is itself imported,
+    sorted: at top level, in a class body or under if, try or with, but not
+    in a function or under `if TYPE_CHECKING:`."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            return
+        if (isinstance(node, ast.If)
+                and getattr(node.test, "id", None) == "TYPE_CHECKING"):
+            children = node.orelse
+        else:
+            children = ast.iter_child_nodes(node)
+        if isinstance(node, ast.Import):
+            parts = [p for a in node.names for p in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            parts = [*(node.module or "").split("."),
+                     *(a.name for a in node.names)]
+        else:
+            parts = []
+        found.extend(p for p in parts if p in NUMPY_BACKED)
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_the_numpy_backed_import_check_finds_each_form():
+    source = ("import numpy as np\n"
+              "from .tables import OpTable\n"
+              "from . import census, errors\n"
+              "import rackwork.euler\n"
+              "try:\n    from rackwork import trig\n"
+              "except ImportError:\n    pass\n"
+              "class C:\n    from .ybe import w_map\n"
+              "if TYPE_CHECKING:\n    from .structures import Structure\n"
+              "def f():\n    import numpy\n    from . import structures\n")
+    assert numpy_backed_imports(source) == [
+        "census", "euler", "numpy", "tables", "trig", "ybe"]
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py", "errors.py",
+                                  "fileio.py", "matseries.py"])
+def test_the_package_cli_and_fileio_import_no_numpy_backed_module(name):
+    """A command imports the modules it calls when it runs, so that `mat`,
+    `check` of a file that is not JSON and `import rackwork` load no
+    numpy."""
+    source = (ROOT / "src" / "rackwork" / name).read_text()
+    assert numpy_backed_imports(source) == []
