@@ -16,8 +16,9 @@ from typing import TYPE_CHECKING
 
 from .errors import InvalidFile, KindMismatch, RackworkError
 
-# each command imports the modules it calls, so that a process loads numpy
-# only for a command that uses it
+# each command imports the modules it calls, after it has read its input
+# files, so that a process loads numpy only for a command that uses it and
+# a file that is not JSON is refused without it
 if TYPE_CHECKING:
     from . import matseries
 
@@ -121,13 +122,19 @@ def _mat_json(m: matseries.Mat2Q):
 # ---------------------------------------------------------------- commands
 
 def cmd_make(args) -> int:
-    from . import fileio, structures, trig
+    from . import fileio
 
     labels = None
+    if args.subkind == "conj":
+        group, labels = fileio.load_group(args.group)
+    elif args.subkind not in ("trivial", "boolean"):
+        loaded = fileio.load_structure(args.file)
+        labels = loaded.labels
+    from . import structures, trig
+
     if args.subkind == "trivial":
         s = structures.trivial_rack(args.n)
     elif args.subkind == "conj":
-        group, labels = fileio.load_group(args.group)
         s = structures.conjugation_rack(group)
     elif args.subkind == "boolean":
         if args.variant == "implication":
@@ -135,20 +142,14 @@ def cmd_make(args) -> int:
         else:
             s = structures.boolean_weak_rack_lattice(args.atoms)
     elif args.subkind == "dual":
-        loaded = fileio.load_structure(args.file)
         s = structures.dual_rack(loaded.structure)
-        labels = loaded.labels
     elif args.subkind == "trig-derived":
-        loaded = fileio.load_structure(args.file)
         ctx = trig.make_trig_context(loaded.structure, args.e, args.o)
         s = trig.trig_derived_rack(ctx)
-        labels = loaded.labels
     elif args.subkind == "product-dual":
-        loaded = fileio.load_structure(args.file)
         s = structures.product_with_dual(loaded.structure)
-        if loaded.labels is not None:
-            labels = [f"({x},{y})" for x in loaded.labels
-                      for y in loaded.labels]
+        if labels is not None:
+            labels = [f"({x},{y})" for x in labels for y in labels]
 
     report = Report("make", args.json, labels=labels)
     report.add(f"constructed {s.kind} on {s.n} elements (verified)", True)
@@ -168,7 +169,7 @@ def cmd_check(args) -> int:
     from . import fileio
 
     loaded = fileio.load_structure(args.file)
-    from . import structures  # after the load, which refuses non-JSON first
+    from . import structures
 
     s = loaded.structure
     report = Report("check", args.json, args.all_witnesses, loaded.labels)
@@ -187,9 +188,11 @@ def cmd_check(args) -> int:
 def _context_from_args(args):
     """The trig context of the structure file, and the command's report
     headed by its verified kind and the base points e, o, pi, u."""
-    from . import fileio, structures, trig
+    from . import fileio
 
     loaded = fileio.load_structure(args.file)
+    from . import structures, trig
+
     try:
         structures._verify_kind(loaded.structure)
     except KindMismatch as exc:
@@ -203,9 +206,9 @@ def _context_from_args(args):
 
 
 def cmd_trig(args) -> int:
+    ctx, report = _context_from_args(args)
     from . import trig
 
-    ctx, report = _context_from_args(args)
     trep = trig.check_trig_properties(ctx)
     for prop in trep.main + trep.rack_only:
         report.add(prop.name, prop.passed, prop.witnesses,
@@ -214,9 +217,9 @@ def cmd_trig(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    ctx, report = _context_from_args(args)
     from . import euler, structures
 
-    ctx, report = _context_from_args(args)
     erep = euler.check_euler_formula(ctx)
     rack_only = ctx.s.kind == structures.WEAK_RACK
     for name in (euler.EULER_FORMULA, euler.EULER_IDENTITY):
@@ -232,7 +235,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_ybe(args) -> int:
-    from . import euler, fileio, trig, ybe
+    from . import fileio
 
     if args.pairmap is not None:
         if (args.file, args.map, args.e) != (None, None, None):
@@ -247,6 +250,8 @@ def cmd_ybe(args) -> int:
         if args.map is None:
             raise RackworkError("--map is required with a structure file")
         loaded = fileio.load_structure(args.file)
+        from . import euler, trig, ybe
+
         labels = loaded.labels
         s = loaded.structure
         if args.map in ("exp", "cosh", "sinh"):
@@ -262,6 +267,8 @@ def cmd_ybe(args) -> int:
             f = ybe.w_map(s) if args.map == "w" else ybe.z_map(s)
             name = args.map.upper()
 
+    from . import ybe
+
     report = Report("ybe", args.json, args.all_witnesses, labels)
     report.set("map", name)
     report.add_report(ybe.EQ_QYBE, ybe.check_qybe(f))
@@ -269,9 +276,11 @@ def cmd_ybe(args) -> int:
 
 
 def cmd_system(args) -> int:
-    from . import fileio, ybe
+    from . import fileio
 
     loaded = fileio.load_structure(args.file)
+    from . import ybe
+
     report = Report("system", args.json, args.all_witnesses, loaded.labels)
     report.set("e", report.elem(args.e))
     sys_rep = ybe.check_yb_system(loaded.structure, args.e)

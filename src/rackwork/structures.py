@@ -7,9 +7,9 @@ and a companion written a<>b ("diamond").  Full racks satisfy
     (c<>b)<>a = (c<>a)<>(b<>a),
 
 weak racks keep both self-distributivities but replace the two cancellation
-laws by the single compatibility (ab)<>a = a(b<>a).  _laws states these
-and two more identities on rows of the dot and of the transposed diamond;
-kinds, trig, euler and the census select from it by name.  All checks are
+laws by the single compatibility (ab)<>a = a(b<>a).  _TERMS states these
+and two more identities as terms, which _laws compiles to gathers; kinds,
+trig, euler and the census select from _laws by name.  All checks are
 exhaustive over the finite carrier and report machine-readable witnesses.
 """
 
@@ -32,14 +32,51 @@ WEAK_RACK = "weak_rack"
 UNCHECKED = "unchecked"
 KINDS = (RACK, WEAK_RACK, UNCHECKED)
 
+
+def _dot(x, y):
+    return ("dot", x, y)
+
+
+def _dia(x, y):
+    return ("dia", x, y)
+
+
+# The section's seven identities, each stated once as a pair of terms over
+# the variables a, b, c: a term is a variable or (op, x, y), for x.y or x<>y.
+# Their names, gathers and trig properties are read off these pairs.
+_TERMS = (
+    (_dot("a", _dot("b", "c")), _dot(_dot("a", "b"), _dot("a", "c"))),
+    (_dot("a", _dia("c", "b")), _dia(_dot("a", "c"), _dot("a", "b"))),
+    (_dia(_dot("b", "c"), "a"), _dot(_dia("b", "a"), _dia("c", "a"))),
+    (_dia(_dia("c", "b"), "a"), _dia(_dia("c", "a"), _dia("b", "a"))),
+    (_dia(_dot("a", "b"), "a"), "b"),
+    (_dot("a", _dia("b", "a")), "b"),
+    (_dia(_dot("a", "b"), "a"), _dot("a", _dia("b", "a"))),
+)
+
+
+def _render(term) -> str:
+    """A term, or a law (a pair of terms), as reports print it: x.y as xy,
+    x<>y as x diamond y, compound operands in parentheses."""
+    if isinstance(term, str):
+        return term
+    if len(term) == 2:
+        return " = ".join(map(_render, term))
+    x, y = (v if isinstance(v, str) else f"({_render(v)})" for v in term[1:])
+    return x + {"dot": "", "dia": " diamond "}[term[0]] + y
+
+
+def _variables(term) -> tuple[str, ...]:
+    """The variables of a term, or of a law, in order of first appearance."""
+    if isinstance(term, str):
+        return (term,)
+    found = (v for side in term[-2:] for v in _variables(side))
+    return tuple(dict.fromkeys(found))
+
+
 # axiom identifiers, used verbatim in reports
-AX_LEFT_DISTRIB = "a(bc) = (ab)(ac)"
-AX_CANCEL_OUT = "(ab) diamond a = b"
-AX_CANCEL_IN = "a(b diamond a) = b"
-AX_RIGHT_DISTRIB = "(c diamond b) diamond a = (c diamond a) diamond (b diamond a)"
-AX_WEAK_COMPAT = "(ab) diamond a = a(b diamond a)"
-AX_DOT_DIAMOND = "a(c diamond b) = (ac) diamond (ab)"
-AX_DIAMOND_DOT = "(bc) diamond a = (b diamond a)(c diamond a)"
+(AX_LEFT_DISTRIB, AX_DOT_DIAMOND, AX_DIAMOND_DOT, AX_RIGHT_DISTRIB,
+ AX_CANCEL_OUT, AX_CANCEL_IN, AX_WEAK_COMPAT) = map(_render, _TERMS)
 
 WITNESS_CAP = 32
 
@@ -108,26 +145,38 @@ class Structure:
             raise KindMismatch(f"unknown kind {self.kind!r}")
 
 
-def _endo(t, u):
-    """Row a of t is an endomorphism of u: t_a(u[b, c]) = u[t_a b, t_a c],
-    over (a, b, c), for narrowed tables or stacks t and u."""
-    return lambda a, b, c: _at(t, a, u) != _at(u, _at(t, a, b), _at(t, a, c))
+def _gather(term, axes):
+    """term as a function of the tables (d, t), t the transposed diamond,
+    and the values v of `axes`: x.y is _at(d, x, y), x<>y is _at(t, y, x),
+    and a subterm over the axes after the first, in order, is the table."""
+    if isinstance(term, str):
+        i = axes.index(term)
+        return lambda tabs, v: v[i]
+    op, x, y = term
+    k, i, j = (0, x, y) if op == "dot" else (1, y, x)
+    if (i, j) == axes[1:]:
+        return lambda tabs, v: tabs[k]
+    gi, gj = _gather(i, axes), _gather(j, axes)
+    return lambda tabs, v: _at(tabs[k], gi(tabs, v), gj(tabs, v))
+
+
+def _compile(law):
+    """(name, arity, bind): bind((d, t)) maps the values of the law's
+    variables, in alphabetical order, to its failure mask."""
+    axes = tuple(sorted(_variables(law)))
+    lhs, rhs = (_gather(side, axes) for side in law)
+    return (_render(law), len(axes),
+            lambda tabs: lambda *v: lhs(tabs, v) != rhs(tabs, v))
+
+
+_COMPILED = tuple(map(_compile, _TERMS))
 
 
 def _laws(d, e):
-    """The section's seven identities as (name, arity, law) on a dot table
-    d and a diamond table e, or on stacks of them (see tables._holds): the
-    four distributive laws say that rows of d and of the transposed diamond
-    t are endomorphisms of both operations, the pair laws compose them."""
-    d, t = _narrow(d), _narrow(np.swapaxes(e, -1, -2))
-    return ((AX_LEFT_DISTRIB, 3, _endo(d, d)),
-            (AX_DOT_DIAMOND, 3, _endo(d, t)),
-            (AX_DIAMOND_DOT, 3, _endo(t, d)),
-            (AX_RIGHT_DISTRIB, 3, _endo(t, t)),
-            (AX_CANCEL_OUT, 2, lambda a, b: _at(t, a, _at(d, a, b)) != b),
-            (AX_CANCEL_IN, 2, lambda a, b: _at(d, a, _at(t, a, b)) != b),
-            (AX_WEAK_COMPAT, 2, lambda a, b:
-             _at(t, a, _at(d, a, b)) != _at(d, a, _at(t, a, b))))
+    """The laws of _TERMS as (name, arity, law) on a dot table d and a
+    diamond table e, or on stacks of them (see tables._holds)."""
+    tabs = _narrow(d), _narrow(np.swapaxes(e, -1, -2))
+    return tuple((name, k, bind(tabs)) for name, k, bind in _COMPILED)
 
 
 def _named(names, d, e):

@@ -2,18 +2,17 @@
 
 Given elements e and o of a structure, set pi = e.o and u = e.pi, and define
 cos x = e.x (left translation by e) and sin x = x<>e.  The seven
-carrier-wide properties are the identities of structures._laws at a = e,
-where row a of the dot is cos and row a of the transposed diamond is sin:
-cos(xy) = cos(x)cos(y) is a(bc) = (ab)(ac), sin(xy) = sin(x)sin(y) is
-(bc)<>a = (b<>a)(c<>a), the two diamond-side properties are
-a(c<>b) = (ac)<>(ab) and right self-distributivity with their last two
-variables swapped, sin(cos x) = x and cos(sin x) = x are the cancellation
-laws, and the exchange law sin(cos x) = cos(sin x) is the weak-rack law
-(ab)<>a = a(b<>a).  On a full rack, cos and sin are mutually inverse
-carrier bijections and homomorphisms for both operations; on weak racks
-only the exchange law is guaranteed.  The rack-only trio is exactly the
-cancellation laws at e (sin(pi) = o is sin(cos x) = x at x = o): still
-evaluated, but reported in a separate full-rack-only section.
+carrier-wide properties are the identities of structures._TERMS at a = e,
+named from the terms: a.X reads cos(X), X<>a reads sin(X), and the other
+variables are x and y in order of first appearance, so that the weak-rack
+law (ab)<>a = a(b<>a) is the exchange law sin(cos x) = cos(sin x).  Two
+laws name c before b; they are scanned in their own variables with the
+mask's last two axes swapped, so that witnesses read (x, y).  On a full
+rack, cos and sin are mutually inverse carrier bijections and
+homomorphisms for both operations; on weak racks only the exchange law is
+guaranteed.  The rack-only trio is exactly the cancellation laws at e
+(sin(pi) = o is sin(cos x) = x at x = o): still evaluated, but reported
+in a separate full-rack-only section.
 """
 
 from __future__ import annotations
@@ -24,47 +23,55 @@ import numpy as np
 
 from .errors import IndexOutOfRange
 from .structures import (
-    AX_CANCEL_IN, AX_CANCEL_OUT, AX_DIAMOND_DOT, AX_DOT_DIAMOND,
-    AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT, RACK, WEAK_RACK,
-    WITNESS_CAP, Structure, _from_arrays, _named,
+    _TERMS, RACK, WEAK_RACK, WITNESS_CAP, Structure, _from_arrays, _named,
+    _render, _variables,
 )
 from .tables import _scan
+
+
+def _at_base(term, names):
+    """term at a = e: a.X becomes the leaf cos(X), X<>a the leaf sin(X),
+    and the other variables are renamed by `names`."""
+    if isinstance(term, str):
+        return names.get(term, term)
+    op, x, y = term[0], *(_at_base(v, names) for v in term[1:])
+    if (op, x) == ("dot", "a"):
+        return f"cos({_render(y)})"
+    if (op, y) == ("dia", "a"):
+        return f"sin({_render(x)})"
+    return op, x, y
+
+
+def _property(law):
+    """The name of the property a law is at a = e, with x and y named in
+    order of first appearance, and whether that swaps its last two axes."""
+    free = [v for v in _variables(law) if v != "a"]
+    names = dict(zip(free, "xy"))
+    name = _render(tuple(_at_base(side, names) for side in law))
+    return name, free != sorted(free)
+
+
+# each carrier-wide property and its swap, by the law of structures._laws
+# that it is at a = e
+_PROPERTIES = {_render(law): _property(law) for law in _TERMS}
 
 # property identifiers, used verbatim in reports
 P_COS_PI = "cos(pi) = u"
 P_SIN_PI = "sin(pi) = o"
-P_COS_DOT = "cos(xy) = cos(x)cos(y)"
-P_COS_DIAMOND = "cos(x diamond y) = cos(x) diamond cos(y)"
-P_SIN_DOT = "sin(xy) = sin(x)sin(y)"
-P_SIN_DIAMOND = "sin(x diamond y) = sin(x) diamond sin(y)"
-P_SIN_COS = "sin(cos(x)) = x"
-P_COS_SIN = "cos(sin(x)) = x"
-P_EXCHANGE = "sin(cos(x)) = cos(sin(x))"
+(P_COS_DOT, P_COS_DIAMOND, P_SIN_DOT, P_SIN_DIAMOND, P_SIN_COS, P_COS_SIN,
+ P_EXCHANGE) = (name for name, _ in _PROPERTIES.values())
 
 # these need the cancellation axioms; on weak racks they are informational
 RACK_ONLY_PROPERTIES = frozenset({P_SIN_PI, P_SIN_COS, P_COS_SIN})
 
-# each carrier-wide property, the law of structures._laws it is with the
-# base point as a, and whether its last two variables are swapped
-_TRIG = (
-    (P_COS_DOT, AX_LEFT_DISTRIB, False),
-    (P_COS_DIAMOND, AX_DOT_DIAMOND, True),
-    (P_SIN_DOT, AX_DIAMOND_DOT, False),
-    (P_SIN_DIAMOND, AX_RIGHT_DISTRIB, True),
-    (P_SIN_COS, AX_CANCEL_OUT, False),
-    (P_COS_SIN, AX_CANCEL_IN, False),
-    (P_EXCHANGE, AX_WEAK_COMPAT, False),
-)
-
 
 def _trig_laws(d, e):
     """The carrier-wide properties as (name, arity, law) over (b, x[, y]),
-    b the base point, cos x = b.x and sin x = x<>b: the laws of _TRIG,
-    renamed, two with their last two variables swapped."""
-    laws = _named([ax for _, ax, _ in _TRIG], d, e)
+    b the base point: the laws of _laws, renamed, and two of them with
+    their last two axes swapped (see _property)."""
     return tuple((p, k, (lambda *v, f=law: f(*v).swapaxes(-1, -2))
-                  if swap else law)
-                 for (p, _, swap), (_, k, law) in zip(_TRIG, laws))
+                  if swap else law) for (p, swap), (_, k, law)
+                 in zip(_PROPERTIES.values(), _named(_PROPERTIES, d, e)))
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,12 @@ class TestEulerFormula:
         # witness records pi and the actual output pair
         assert rep.failures[0][1] == (3, 3, 3)
 
+    def test_identity_witness_lists_pi_and_both_coordinates(self):
+        # e = 1, o = 2: pi = 1|2 = 3 and exp_e(pi,pi) = (1|3, 3&1) = (3, 1)
+        s = rw.boolean_weak_rack_lattice(2)
+        rep = rw.check_euler_formula(rw.make_trig_context(s, 1, 2))
+        assert rep.failures == [(euler.EULER_IDENTITY, (3, 3, 1))]
+
     def test_trivial_rack_diagonal(self):
         s = rw.trivial_rack(4)
         ctx = rw.make_trig_context(s, 2, 3)

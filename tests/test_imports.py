@@ -138,6 +138,31 @@ class TestNumpyFreeProcesses:
                                     *capsys.readouterr())
         assert code == 2 and err.startswith(f"error: {path}: Expecting")
 
+    @pytest.mark.parametrize("argv", [
+        ["trig", "{}", "--e", "0", "--o", "0"],
+        ["euler", "{}", "--e", "0", "--o", "0"],
+        ["system", "{}", "--e", "0"],
+        ["ybe", "{}", "--map", "w"],
+        ["ybe", "--pairmap", "{}"],
+        ["make", "conj", "--group", "{}"],
+        ["make", "dual", "{}"],
+        ["make", "trig-derived", "{}", "--e", "0", "--o", "0"],
+        ["make", "product-dual", "{}"],
+    ], ids=["trig", "euler", "system", "ybe --map", "ybe --pairmap",
+            "make conj", "make dual", "make trig-derived",
+            "make product-dual"])
+    def test_every_reading_command_parses_before_numpy(self, argv, tmp_path,
+                                                       capsys):
+        """Each command that reads a file refuses one that is not JSON
+        before it imports numpy, as check does."""
+        path = tmp_path / "truncated.json"
+        path.write_text('{"n": 2, "dot": [[0,')
+        argv = [str(path) if a == "{}" else a for a in argv]
+        code, out, err, numpy_loaded = fresh_cli(*argv)
+        assert not numpy_loaded
+        assert (code, out, err) == (main(argv), *capsys.readouterr())
+        assert code == 2 and err.startswith(f"error: {path}: Expecting")
+
     def test_the_probe_sees_numpy_when_a_command_uses_it(self, tmp_path):
         path = tmp_path / "one.json"
         path.write_text('{"kind": "rack", "n": 1, "dot": [[0]], '

@@ -126,6 +126,12 @@ class TestClosedForm:
         with pytest.raises(rw.LevelTooLarge):
             rw.trace_product_sum(SHEAR, 13)
 
+    def test_oracle_runs_at_level_six(self):
+        # sum_{k=1}^{729} [[1, k], [0, 1]] = [[729, 729 * 730 / 2], [0, 729]]
+        res = rw.trace_product_sum(SHEAR, 6, with_oracle=True)
+        assert res.oracle == rw.mat2(729, 729 * 365, 0, 729)
+        assert res.oracle_matches
+
     def test_oracle_gated_above_level_six(self):
         res = rw.trace_product_sum(SHEAR, 7, with_oracle=True)
         assert res.oracle is None

@@ -113,7 +113,7 @@ def test_every_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
-LAW_BUILDERS = {"_endo", "_laws"}
+LAW_BUILDERS = {"_compile", "_gather", "_laws"}
 
 
 def law_builder_reads(source: str) -> list[str]:
@@ -131,10 +131,11 @@ def law_builder_reads(source: str) -> list[str]:
 
 
 def test_the_law_builder_check_finds_each_form():
-    source = ("from .structures import _laws as r\n"
+    source = ("from .structures import _laws as r, _compile\n"
               "from . import structures\n"
-              "structures._endo(d, e)\n_laws\n")
-    assert law_builder_reads(source) == ["_endo", "_laws", "_laws"]
+              "structures._gather(term, axes)\n_laws\n")
+    assert law_builder_reads(source) == ["_compile", "_gather", "_laws",
+                                         "_laws"]
 
 
 NOT_STRUCTURES = [p for p in sorted((ROOT / "src" / "rackwork").glob("*.py"))

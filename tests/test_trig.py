@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import census, tables, trig
+from rackwork import census, structures, tables, trig
 from rackwork.structures import AX_RIGHT_DISTRIB, WITNESS_CAP, _laws
 
 
@@ -361,6 +361,35 @@ def test_trig_laws_with_a_free_base_point(monkeypatch, slab):
                 for s in stack]
             assert tables._holds([(name, k, law)], n, len(stack)).tolist() == (
                 expected), (n, name)
+
+
+def test_law_and_property_names_are_the_report_contract():
+    """Reports print these names verbatim: the seven laws in the order of
+    structures._laws, each with the trig property it is at a = e."""
+    names = {
+        "a(bc) = (ab)(ac)": "cos(xy) = cos(x)cos(y)",
+        "a(c diamond b) = (ac) diamond (ab)":
+            "cos(x diamond y) = cos(x) diamond cos(y)",
+        "(bc) diamond a = (b diamond a)(c diamond a)":
+            "sin(xy) = sin(x)sin(y)",
+        "(c diamond b) diamond a = (c diamond a) diamond (b diamond a)":
+            "sin(x diamond y) = sin(x) diamond sin(y)",
+        "(ab) diamond a = b": "sin(cos(x)) = x",
+        "a(b diamond a) = b": "cos(sin(x)) = x",
+        "(ab) diamond a = a(b diamond a)": "sin(cos(x)) = cos(sin(x))",
+    }
+    t = np.zeros((1, 1), dtype=np.int64)
+    assert [name for name, _, _ in _laws(t, t)] == list(names)
+    assert [name for name, _, _ in trig._trig_laws(t, t)] == list(
+        names.values())
+    assert (structures.AX_LEFT_DISTRIB, structures.AX_DOT_DIAMOND,
+            structures.AX_DIAMOND_DOT, structures.AX_RIGHT_DISTRIB,
+            structures.AX_CANCEL_OUT, structures.AX_CANCEL_IN,
+            structures.AX_WEAK_COMPAT) == tuple(names)
+    assert (trig.P_COS_DOT, trig.P_COS_DIAMOND, trig.P_SIN_DOT,
+            trig.P_SIN_DIAMOND, trig.P_SIN_COS, trig.P_COS_SIN,
+            trig.P_EXCHANGE) == tuple(names.values())
+    assert (trig.P_COS_PI, trig.P_SIN_PI) == ("cos(pi) = u", "sin(pi) = o")
 
 
 @pytest.mark.parametrize("call, error, message", [
