@@ -6,9 +6,11 @@ diamond is derived from the dot as derive_diamond does; weak-rack
 candidates pair every left (dot) with every right (diamond)
 self-distributive table.  Every candidate is verified through tables._holds
 against the laws its kind claims, selected from structures._laws: the pair
-laws, then the triple laws on the survivors, each once.  So the census
-states no law itself: the independent evidence is the unpruned oracles in
-the tests.
+laws, then the triple laws on the survivors, each once.  So every verdict
+comes from _KIND_LAWS, and completeness rests on the search's pruning by a
+hand-written a(bc) = (ab)(ac), as a compiled law's != mask cannot tell a
+decided failure (both sides below the sentinel n); the count and sha256
+of test_four_point_shelves_pinned and the tests' unpruned searches back it.
 
 Counts are labeled: racks on 1..4 points number 1, 2, 13, 114 (1708 on 5
 points, under RACKWORK_MAX_N=5), weak racks on 1..3 points 1, 45, 13352.
@@ -182,7 +184,8 @@ def enumerate_weak_racks(n: int) -> EnumResult:
     if not 1 <= n <= cap:
         raise CarrierTooLarge(f"weak-rack enumeration supports 1 <= n <= {cap}")
     dots = _left_distributive_tables(n)
-    # the transposes are the right self-distributive tables
+    # the transposes are the right self-distributive tables, sorted by a
+    # lexsort: np.unique(axis=0) would import numpy.ma on its first call
     flat = dots.swapaxes(1, 2).reshape(len(dots), -1)
     diamonds = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)
     # every pair of a block of dots with every diamond, dot-major

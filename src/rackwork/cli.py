@@ -128,8 +128,7 @@ def cmd_make(args) -> int:
     if args.subkind == "conj":
         group, labels = fileio.load_group(args.group)
     elif args.subkind not in ("trivial", "boolean"):
-        loaded = fileio.load_structure(args.file)
-        labels = loaded.labels
+        source, labels = fileio.load_structure(args.file)
     from . import structures, trig
 
     if args.subkind == "trivial":
@@ -142,12 +141,12 @@ def cmd_make(args) -> int:
         else:
             s = structures.boolean_weak_rack_lattice(args.atoms)
     elif args.subkind == "dual":
-        s = structures.dual_rack(loaded.structure)
+        s = structures.dual_rack(source)
     elif args.subkind == "trig-derived":
-        ctx = trig.make_trig_context(loaded.structure, args.e, args.o)
+        ctx = trig.make_trig_context(source, args.e, args.o)
         s = trig.trig_derived_rack(ctx)
     elif args.subkind == "product-dual":
-        s = structures.product_with_dual(loaded.structure)
+        s = structures.product_with_dual(source)
         if labels is not None:
             labels = [f"({x},{y})" for x in labels for y in labels]
 
@@ -165,14 +164,19 @@ def cmd_make(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
+def _open(args):
+    """The structure file of args, and the command's report, labeled as
+    the file is."""
     from . import fileio
 
-    loaded = fileio.load_structure(args.file)
+    s, labels = fileio.load_structure(args.file)
+    return s, Report(args.command, args.json, args.all_witnesses, labels)
+
+
+def cmd_check(args) -> int:
+    s, report = _open(args)
     from . import structures
 
-    s = loaded.structure
-    report = Report("check", args.json, args.all_witnesses, loaded.labels)
     report.set("kind", s.kind)
     report.set("n", s.n)
     if s.kind == structures.UNCHECKED:
@@ -188,17 +192,14 @@ def cmd_check(args) -> int:
 def _context_from_args(args):
     """The trig context of the structure file, and the command's report
     headed by its verified kind and the base points e, o, pi, u."""
-    from . import fileio
-
-    loaded = fileio.load_structure(args.file)
+    s, report = _open(args)
     from . import structures, trig
 
     try:
-        structures._verify_kind(loaded.structure)
+        structures._verify_kind(s)
     except KindMismatch as exc:
         raise InvalidFile(f"{args.file}: {exc}") from exc
-    ctx = trig.make_trig_context(loaded.structure, args.e, args.o)
-    report = Report(args.command, args.json, args.all_witnesses, loaded.labels)
+    ctx = trig.make_trig_context(s, args.e, args.o)
     report.set("kind", ctx.s.kind)
     for key in ("e", "o", "pi", "u"):
         report.set(key, report.elem(getattr(ctx, key)))
@@ -235,25 +236,23 @@ def cmd_euler(args) -> int:
 
 
 def cmd_ybe(args) -> int:
-    from . import fileio
-
     if args.pairmap is not None:
         if (args.file, args.map, args.e) != (None, None, None):
             raise RackworkError(
                 "--pairmap takes no structure file, --map or --e")
+        from . import fileio
+
         f = fileio.load_pair_map(args.pairmap)
         name = f"pair map from {args.pairmap}"
-        labels = None
+        report = Report("ybe", args.json, args.all_witnesses)
     else:
         if args.file is None:
             raise RackworkError("a structure file or --pairmap is required")
         if args.map is None:
             raise RackworkError("--map is required with a structure file")
-        loaded = fileio.load_structure(args.file)
+        s, report = _open(args)
         from . import euler, trig, ybe
 
-        labels = loaded.labels
-        s = loaded.structure
         if args.map in ("exp", "cosh", "sinh"):
             if args.e is None:
                 raise RackworkError(f"--e is required for map {args.map!r}")
@@ -269,22 +268,17 @@ def cmd_ybe(args) -> int:
 
     from . import ybe
 
-    report = Report("ybe", args.json, args.all_witnesses, labels)
     report.set("map", name)
     report.add_report(ybe.EQ_QYBE, ybe.check_qybe(f))
     return report.emit()
 
 
 def cmd_system(args) -> int:
-    from . import fileio
-
-    loaded = fileio.load_structure(args.file)
+    s, report = _open(args)
     from . import ybe
 
-    report = Report("system", args.json, args.all_witnesses, loaded.labels)
     report.set("e", report.elem(args.e))
-    sys_rep = ybe.check_yb_system(loaded.structure, args.e)
-    for name, rep in sys_rep.named():
+    for name, rep in ybe.check_yb_system(s, args.e).named():
         report.add_report(name, rep)
     return report.emit()
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidFile, RackworkError
@@ -91,15 +90,6 @@ def _labels(doc: dict, n: int, path: str) -> list[str] | None:
     return labels
 
 
-@dataclass(frozen=True)
-class LoadedStructure:
-    """A structure as read from disk: the kind tag is taken on trust
-    (use the check command / axiom checkers to verify it)."""
-
-    structure: Structure
-    labels: list[str] | None
-
-
 def structure_to_json(s: Structure, labels: list[str] | None = None) -> str:
     doc = {
         "kind": s.kind,
@@ -118,7 +108,9 @@ def save_structure(path: str, s: Structure,
         fh.write(structure_to_json(s, labels))
 
 
-def load_structure(path: str) -> LoadedStructure:
+def load_structure(path: str) -> tuple[Structure, list[str] | None]:
+    """Read a structure and its labels.  The kind tag is taken on trust:
+    the check command and the axiom checkers verify it."""
     doc = _read_json(path)
     from .structures import KINDS, Structure
     from .tables import OpTable
@@ -129,8 +121,7 @@ def load_structure(path: str) -> LoadedStructure:
     dot = _matrix(doc.get("dot"), n, f"{path}: dot")
     diamond = _matrix(doc.get("diamond"), n, f"{path}: diamond")
     labels = _labels(doc, n, path)
-    s = Structure(n, OpTable(n, dot), OpTable(n, diamond), kind)
-    return LoadedStructure(structure=s, labels=labels)
+    return Structure(n, OpTable(n, dot), OpTable(n, diamond), kind), labels
 
 
 def group_to_json(g: GroupTable, labels: list[str] | None = None) -> str:

@@ -268,26 +268,23 @@ def trivial_rack(n: int) -> Structure:
     return _from_arrays(dot, _invert_rows(dot), RACK)
 
 
-def _boolean_carrier(k: int) -> int:
+def _boolean_carrier(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The subsets of k atoms as bit masks, a column a and a row b."""
     if k < 0:
         raise SizeMismatch("atom count must be non-negative")
-    return _capped(1 << k, f"2^{k}")
+    subsets = np.arange(_capped(1 << k, f"2^{k}"))
+    return subsets[:, None], subsets[None, :]
 
 
 def boolean_weak_rack_implication(k: int) -> Structure:
     """Weak rack on the subsets of k atoms: ab = a -> b, a<>b = a \\ b."""
-    n = _boolean_carrier(k)
-    mask = n - 1
-    a = np.arange(n)[:, None]
-    b = np.arange(n)[None, :]
-    return _from_arrays((~a | b) & mask, a & ~b & mask, WEAK_RACK)
+    a, b = _boolean_carrier(k)
+    return _from_arrays((~a | b) & (b.size - 1), a & ~b, WEAK_RACK)
 
 
 def boolean_weak_rack_lattice(k: int) -> Structure:
     """Weak rack on the subsets of k atoms: ab = a | b, a<>b = a & b."""
-    n = _boolean_carrier(k)
-    a = np.arange(n)[:, None]
-    b = np.arange(n)[None, :]
+    a, b = _boolean_carrier(k)
     return _from_arrays(a | b, a & b, WEAK_RACK)
 
 

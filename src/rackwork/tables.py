@@ -135,7 +135,8 @@ def _scan(law, n: int, k: int, cap: int, heads=None) -> list[tuple[int, ...]]:
     must be in lexicographic order.  Laws gather with _at from tables
     passed through _narrow (a column against a row takes _at's outer
     form); structures._gather compiles them so that a subterm over the
-    last two variables is the table, not gathered again for every head.
+    last two variables is the table, not gathered again for every head,
+    and a head that fixes one of those two variables raises ValueError.
     """
     if cap < 1:
         raise SizeMismatch(f"max_witnesses must be at least 1, got {cap}")

@@ -211,8 +211,7 @@ def test_criterion_12_cli_contract(tmp_path, capsys):
 
     assert main(["make", "trivial", "--n", "3", "--out", str(out1)]) == 0
     assert main(["check", str(out1)]) == 0
-    loaded = fileio.load_structure(str(out1))
-    fileio.save_structure(str(out2), loaded.structure, loaded.labels)
+    fileio.save_structure(str(out2), *fileio.load_structure(str(out1)))
     assert out1.read_bytes() == out2.read_bytes()  # byte-identical round trip
 
     broken = tmp_path / "broken.json"

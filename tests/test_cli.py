@@ -39,8 +39,8 @@ class TestMake:
                             "--out", out)
         assert code == 0
         assert "rack" in text
-        loaded = fileio.load_structure(out)
-        assert loaded.structure == rw.trivial_rack(3)
+        s, _ = fileio.load_structure(out)
+        assert s == rw.trivial_rack(3)
 
     def test_json_after_the_subkind(self, tmp_path, capsys):
         out = str(tmp_path / "t.json")
@@ -60,16 +60,16 @@ class TestMake:
         assert not out.exists()
 
     def test_conj_from_group_file(self, conj_file, conj_s3):
-        loaded = fileio.load_structure(conj_file)
-        assert loaded.structure == conj_s3
-        assert loaded.labels is not None  # propagated from the group file
+        s, labels = fileio.load_structure(conj_file)
+        assert s == conj_s3
+        assert labels is not None  # propagated from the group file
 
     def test_boolean(self, tmp_path, capsys):
         out = str(tmp_path / "b.json")
         code, _, _ = run(capsys, "make", "boolean", "--atoms", "2",
                          "--variant", "lattice", "--out", out)
         assert code == 0
-        assert fileio.load_structure(out).structure == \
+        assert fileio.load_structure(out)[0] == \
             rw.boolean_weak_rack_lattice(2)
 
     def test_dual_and_product(self, tmp_path, capsys, conj_file):
@@ -77,12 +77,12 @@ class TestMake:
             out = str(tmp_path / f"{sub}.json")
             code, _, _ = run(capsys, "make", sub, conj_file, "--out", out)
             assert code == 0
-        conj = fileio.load_structure(conj_file).structure
-        dual = fileio.load_structure(str(tmp_path / "dual.json")).structure
+        conj, _ = fileio.load_structure(conj_file)
+        dual, _ = fileio.load_structure(str(tmp_path / "dual.json"))
         assert dual == rw.dual_rack(conj)
-        box = fileio.load_structure(str(tmp_path / "product-dual.json"))
-        assert box.structure == rw.product_with_dual(conj)
-        assert box.labels and box.labels[7] == "((12),(12))"
+        box, labels = fileio.load_structure(str(tmp_path / "product-dual.json"))
+        assert box == rw.product_with_dual(conj)
+        assert labels and labels[7] == "((12),(12))"
 
     def test_product_dual_witness_is_the_products(self, tmp_path, capsys,
                                                   conj_s3):
@@ -117,7 +117,7 @@ class TestMake:
         code, _, _ = run(capsys, "make", "trig-derived", conj_file,
                          "--e", "1", "--o", "4", "--out", out)
         assert code == 0
-        assert fileio.load_structure(out).structure.kind == rw.RACK
+        assert fileio.load_structure(out)[0].kind == rw.RACK
 
     def test_stdout_mode_emits_file_body(self, capsys):
         code, text, err = run(capsys, "make", "trivial", "--n", "2")
@@ -164,7 +164,7 @@ class TestMake:
         code, _, _ = run(capsys, "make", "trig-derived", str(path),
                          "--e", "1", "--o", "0", "--out", str(out))
         assert code == 0
-        assert fileio.load_structure(str(out)).structure == rw.trivial_rack(2)
+        assert fileio.load_structure(str(out))[0] == rw.trivial_rack(2)
         code, text, err = run(capsys, "make", "trig-derived", str(path),
                               "--e", "0", "--o", "0",
                               "--out", str(tmp_path / "e.json"))
@@ -586,8 +586,8 @@ class TestEnum:
         files = sorted(os.listdir(keep))
         assert len(files) == 13
         for f in files:
-            loaded = fileio.load_structure(os.path.join(keep, f))
-            assert rw.check_rack_axioms(loaded.structure).passed
+            s, _ = fileio.load_structure(os.path.join(keep, f))
+            assert rw.check_rack_axioms(s).passed
 
     def test_keep_on_a_file_is_exit_2(self, tmp_path, capsys):
         keep = tmp_path / "kept"
@@ -697,8 +697,7 @@ class TestCliPlumbing:
         out2 = str(tmp_path / "b.json")
         run(capsys, "make", "boolean", "--atoms", "2",
             "--variant", "implication", "--out", out1)
-        loaded = fileio.load_structure(out1)
-        fileio.save_structure(out2, loaded.structure, loaded.labels)
+        fileio.save_structure(out2, *fileio.load_structure(out1))
         with open(out1, "rb") as a, open(out2, "rb") as b:
             assert a.read() == b.read()
 

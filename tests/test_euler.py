@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import rackwork as rw
-from rackwork import euler
+from rackwork import euler, fileio
+from rackwork.cli import main
 
 
 class TestExpMap:
@@ -161,6 +162,34 @@ class TestHyperbolic:
         comp = euler.compose(rw.cosh_map(ctx), rw.sinh_map(ctx))
         assert comp == rw.exp_map(conj_s3, 1)
 
+    @pytest.mark.parametrize("broken", [0, 1])
+    def test_fails_when_one_composite_differs(self, conj_s3, monkeypatch,
+                                              capsys, tmp_path, broken):
+        """The factorization holds by construction, so a fault injected
+        into compose is the only way to its FAIL branch: either composite
+        differing from exp_e fails it."""
+        real = euler.compose
+        calls = []
+
+        def compose(f, g):
+            h = real(f, g)
+            calls.append((f, g))
+            if len(calls) - 1 != broken:
+                return h
+            out = h.out.copy()
+            out[0, 0] = (out[0, 0] + 1) % h.n
+            return euler.PairMap(h.n, out)
+
+        monkeypatch.setattr(euler, "compose", compose)
+        ctx = rw.make_trig_context(conj_s3, 1, 4)
+        assert not rw.check_hyperbolic_factorization(ctx)
+        assert len(calls) == broken + 1  # a failing first composite decides
+        path = tmp_path / "conj.json"
+        fileio.save_structure(str(path), conj_s3)
+        calls.clear()
+        assert main(["euler", str(path), "--e", "1", "--o", "4"]) == 1
+        assert "[FAIL] exp_e = cosh o sinh" in capsys.readouterr().out
+
 
 class TestEulerFormula:
     def test_conj_s3(self, conj_s3):
@@ -203,6 +232,26 @@ class TestEulerFormula:
         s = rw.boolean_weak_rack_lattice(2)
         rep = rw.check_euler_formula(rw.make_trig_context(s, 1, 2))
         assert rep.failures == [(euler.EULER_IDENTITY, (3, 3, 1))]
+
+    @pytest.mark.parametrize("coordinate", [0, 1])
+    def test_fails_where_one_diagonal_coordinate_differs(
+            self, conj_s3, monkeypatch, coordinate):
+        """The formula clause holds by construction, so a fault injected
+        into exp_map is the only way to its FAIL branch: one coordinate of
+        one diagonal point off is a witness."""
+        ctx = rw.make_trig_context(conj_s3, 1, 4)
+        x = 0 if ctx.pi != 0 else 1  # the identity clause still holds
+        real = euler.exp_map
+
+        def exp_map(s, a):
+            out = real(s, a).out.copy()
+            out[x * s.n + x, coordinate] = (out[x * s.n + x, coordinate]
+                                            + 1) % s.n
+            return euler.PairMap(s.n, out)
+
+        monkeypatch.setattr(euler, "exp_map", exp_map)
+        assert rw.check_euler_formula(ctx).failures == [
+            (euler.EULER_FORMULA, (x,))]
 
     def test_trivial_rack_diagonal(self):
         s = rw.trivial_rack(4)

@@ -10,7 +10,9 @@ unchecked structures with n <= 5:
 - mixed_XXZ is sin(y<>z) = sin(y)<>sin(z) at e, with x free;
 - cos(pi) = u, the Euler formula clause and the hyperbolic factorization
   hold on every pair of tables;
-- the Euler identity clause fails exactly when sin(pi) = o does.
+- the Euler identity clause fails exactly when sin(pi) = o does;
+- a law fails on the opposite structure exactly where its dual law, read
+  off the terms by swapping x.y with y<>x, fails on the structure.
 
 The axiom checkers themselves, and classify, are compared with plain loops
 over the tables' entries.
@@ -27,7 +29,7 @@ from rackwork import euler, trig
 from rackwork.structures import (
     AX_CANCEL_IN, AX_CANCEL_OUT, AX_DIAMOND_DOT, AX_DOT_DIAMOND,
     AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT, WITNESS_CAP, _laws,
-    _named, classify,
+    _named, _opposite, _render, _TERMS, classify,
 )
 from rackwork.tables import _scan
 
@@ -178,6 +180,56 @@ def test_every_law_matches_nested_loops(case):
     laws = _laws(s.dot.entries, s.diamond.entries)
     assert {name: _scan(law, s.n, k, s.n ** 3)
             for name, k, law in laws} == _loop_failures(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(contexts())
+def test_one_value_heads_walk_as_the_default(case):
+    """A caller may fix the first variable of any law of structures._laws,
+    as trig does at the base point, and reads the default walk's witnesses
+    under every cap."""
+    s, _, _ = case
+    n = s.n
+    heads = [(a,) for a in range(n)]
+    for _, k, law in _laws(s.dot.entries, s.diamond.entries):
+        for cap in (1, 3, n ** 3):
+            assert _scan(law, n, k, cap, heads) == _scan(law, n, k, cap)
+
+
+def _mirror(term):
+    """term under the duality x.y -> y<>x, x<>y -> y.x."""
+    if isinstance(term, str):
+        return term
+    op, x, y = term
+    return ({"dot": "dia", "dia": "dot"}[op], _mirror(y), _mirror(x))
+
+
+# each law's dual, an involution on the seven laws
+DUALS = {AX_LEFT_DISTRIB: AX_RIGHT_DISTRIB, AX_RIGHT_DISTRIB: AX_LEFT_DISTRIB,
+         AX_DOT_DIAMOND: AX_DIAMOND_DOT, AX_DIAMOND_DOT: AX_DOT_DIAMOND,
+         AX_CANCEL_OUT: AX_CANCEL_IN, AX_CANCEL_IN: AX_CANCEL_OUT,
+         AX_WEAK_COMPAT: AX_WEAK_COMPAT}
+
+
+def test_duality_maps_the_terms_onto_themselves():
+    """The mirror of each law is its dual law, in the same variables; the
+    exchange law is its own dual with its two sides swapped."""
+    laws = {_render(law): law for law in _TERMS}
+    assert set(DUALS) == set(laws)
+    for name, (lhs, rhs) in laws.items():
+        image = laws[DUALS[name]]
+        if name == AX_WEAK_COMPAT:
+            image = image[::-1]
+        assert (_mirror(lhs), _mirror(rhs)) == image
+
+
+@settings(max_examples=80, deadline=None)
+@given(contexts())
+def test_each_law_on_the_opposite_is_its_dual_on_the_structure(case):
+    s, _, _ = case
+    opposite = _opposite(s)
+    for name, dual in DUALS.items():
+        assert _axiom(opposite, name) == _axiom(s, dual)
 
 
 @settings(max_examples=120, deadline=None)

@@ -263,3 +263,39 @@ def test_the_package_cli_and_fileio_import_no_numpy_backed_module(name):
     numpy."""
     source = (ROOT / "src" / "rackwork" / name).read_text()
     assert numpy_backed_imports(source) == []
+
+
+def load_structure_readers(source: str) -> list[str]:
+    """The function around each read of load_structure, by name, as an
+    attribute or in an import, in source order; "" at module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        name = (node.name if isinstance(node, ast.alias)
+                else getattr(node, "id", getattr(node, "attr", None)))
+        if name == "load_structure":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_load_structure_check_finds_each_form():
+    source = ("from .fileio import load_structure as ls\n"
+              "def _open(args):\n    return fileio.load_structure(args.file)\n"
+              "def cmd_make(args):\n    def inner():\n"
+              "        load_structure(args.file)\n    return inner\n"
+              "reader = fileio.load_structure\n")
+    assert load_structure_readers(source) == ["", "_open", "inner", ""]
+
+
+def test_the_cli_opens_structure_files_in_one_place():
+    """The checking commands read their structure file through cli._open,
+    which heads their report; make, which has no --all-witnesses, reads
+    its own."""
+    source = (ROOT / "src" / "rackwork" / "cli.py").read_text()
+    assert load_structure_readers(source) == ["cmd_make", "_open"]
