@@ -11,6 +11,9 @@ laws by the single compatibility (ab)<>a = a(b<>a).  _TERMS states these
 and two more identities as terms, which _laws compiles to gathers; kinds,
 trig, euler and the census select from _laws by name.  All checks are
 exhaustive over the finite carrier and report machine-readable witnesses.
+A constructor's kind rests on such a scan of the structure it returns, or
+of its factors where it is a direct product (Birkhoff's theorem: an
+identity holds on a product exactly when it holds on each factor).
 """
 
 from __future__ import annotations
@@ -130,7 +133,9 @@ class Structure:
 
     Plain record: the named constructors below (and make_structure) are the
     verifying entry points; a kind of 'rack' or 'weak_rack' obtained from
-    them is backed by an exhaustive axiom scan.
+    them is backed by an exhaustive axiom scan of the structure, of its
+    factors (direct_product, product_with_dual, the Boolean weak racks), or
+    by the vector check of trig.trig_derived_rack.
     """
 
     n: int
@@ -231,12 +236,19 @@ def classify(s: Structure) -> tuple[str, AxiomReport]:
     return (WEAK_RACK if any(_failures(cancel, s.n, 1)) else RACK), weak
 
 
+def _kind_failure(s: Structure):
+    """The first failure (law, witness) of the laws s.kind claims, or None."""
+    if s.kind not in _KIND_LAWS:
+        return None
+    laws = _named(_KIND_LAWS[s.kind], s.dot.entries, s.diamond.entries)
+    return next(_failures(laws, s.n, 1), None)
+
+
 def _verify_kind(s: Structure) -> None:
     """Raise KindMismatch at the first failure of the laws s.kind claims."""
-    if s.kind not in _KIND_LAWS:
-        return
-    laws = _named(_KIND_LAWS[s.kind], s.dot.entries, s.diamond.entries)
-    for axiom, wit in _failures(laws, s.n, 1):  # the first failure, if any
+    failure = _kind_failure(s)
+    if failure:
+        axiom, wit = failure
         raise KindMismatch(f"claimed {s.kind} violates {axiom!r} at {wit}")
 
 
@@ -250,6 +262,13 @@ def make_structure(dot: OpTable, diamond: OpTable, kind: str = UNCHECKED) -> Str
 def _from_arrays(dot: np.ndarray, diamond: np.ndarray, kind: str) -> Structure:
     n = dot.shape[0]
     return make_structure(OpTable(n, dot), OpTable(n, diamond), kind)
+
+
+def _unverified(dot: np.ndarray, diamond: np.ndarray, kind: str) -> Structure:
+    """A structure on these tables tagged `kind` with no scan of it: only
+    for tables whose kind the caller has established by other checks."""
+    n = dot.shape[0]
+    return Structure(n, OpTable(n, dot), OpTable(n, diamond), kind)
 
 
 def conjugation_rack(g: GroupTable) -> Structure:
@@ -268,24 +287,41 @@ def trivial_rack(n: int) -> Structure:
     return _from_arrays(dot, _invert_rows(dot), RACK)
 
 
-def _boolean_carrier(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The subsets of k atoms as bit masks, a column a and a row b."""
+# the Boolean weak racks on one atom, as (dot, diamond) on {0, 1}
+_IMPLICATION = ([[1, 1], [0, 1]], [[0, 0], [1, 0]])   # a -> b, a \ b
+_LATTICE = ([[0, 1], [1, 1]], [[0, 0], [0, 1]])       # a | b, a & b
+
+
+def _boolean_power(atom, k: int) -> Structure:
+    """The k-fold direct power of the weak rack on {0, 1} with the tables
+    `atom`, built by _product from the one-point structure; point x of the
+    power is the subset of k atoms with bit mask x.  Only the two-point
+    factor is scanned: an identity that holds on each factor holds on
+    their product (Birkhoff 1935), and the one-point structure satisfies
+    every identity."""
     if k < 0:
         raise SizeMismatch("atom count must be non-negative")
-    subsets = np.arange(_capped(1 << k, f"2^{k}"))
-    return subsets[:, None], subsets[None, :]
+    _capped(1 << k, f"2^{k}")
+    factor = _from_arrays(*map(np.array, atom), WEAK_RACK)
+    point = np.zeros((1, 1), np.int64)
+    power = _unverified(point, point, WEAK_RACK)
+    for _ in range(k):     # factor first: numpy fills the long last axis faster
+        power = _product(factor, power)
+    return power
 
 
 def boolean_weak_rack_implication(k: int) -> Structure:
-    """Weak rack on the subsets of k atoms: ab = a -> b, a<>b = a \\ b."""
-    a, b = _boolean_carrier(k)
-    return _from_arrays((~a | b) & (b.size - 1), a & ~b, WEAK_RACK)
+    """Weak rack on the subsets of k atoms: ab = a -> b, a<>b = a \\ b, the
+    k-fold power of its one-atom case, whose kind rests on a scan of that
+    two-point factor (see _boolean_power)."""
+    return _boolean_power(_IMPLICATION, k)
 
 
 def boolean_weak_rack_lattice(k: int) -> Structure:
-    """Weak rack on the subsets of k atoms: ab = a | b, a<>b = a & b."""
-    a, b = _boolean_carrier(k)
-    return _from_arrays(a | b, a & b, WEAK_RACK)
+    """Weak rack on the subsets of k atoms: ab = a | b, a<>b = a & b, the
+    k-fold power of its one-atom case, whose kind rests on a scan of that
+    two-point factor (see _boolean_power)."""
+    return _boolean_power(_LATTICE, k)
 
 
 def _opposite(s: Structure) -> Structure:
@@ -302,30 +338,43 @@ def dual_rack(s: Structure) -> Structure:
     return dual
 
 
-def direct_product(s1: Structure, s2: Structure) -> Structure:
-    """Componentwise product on pairs, pair (x, y) encoded as x*n2 + y;
-    the n1*n2 pairs are subject to the carrier cap."""
-    if s1.kind != s2.kind:
-        raise KindMismatch(f"cannot combine {s1.kind} with {s2.kind}")
+def _product(s1: Structure, s2: Structure) -> Structure:
+    """The direct product of s1 and s2, tagged s1.kind with no scan: pair
+    (x, y) encoded as x*n2 + y; the n1*n2 pairs are subject to the cap."""
     n2 = s2.n
     m = _capped(s1.n * n2, f"{s1.n} x {n2}")
 
     def combine(t1, t2):
-        out = t1[:, None, :, None] * n2 + t2[None, :, None, :]
-        return np.ascontiguousarray(out.reshape(m, m))
+        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(m, m)
 
-    return _from_arrays(
-        combine(s1.dot.entries, s2.dot.entries),
-        combine(s1.diamond.entries, s2.diamond.entries),
-        s1.kind,
-    )
+    return _unverified(combine(s1.dot.entries, s2.dot.entries),
+                       combine(s1.diamond.entries, s2.diamond.entries),
+                       s1.kind)
+
+
+def direct_product(s1: Structure, s2: Structure) -> Structure:
+    """Componentwise product on pairs, pair (x, y) encoded as x*n2 + y;
+    the n1*n2 pairs are subject to the carrier cap.
+
+    The kind rests on scans of the factors, n1^3 + n2^3 instances: every
+    law a kind claims is an identity, and an identity holds on a direct
+    product exactly when it holds on each factor (Birkhoff 1935).  If a
+    factor fails, the product itself is scanned, so that the KindMismatch
+    names the product's first failed law and witness."""
+    if s1.kind != s2.kind:
+        raise KindMismatch(f"cannot combine {s1.kind} with {s2.kind}")
+    product = _product(s1, s2)
+    if _kind_failure(s1) or _kind_failure(s2):
+        _verify_kind(product)
+    return product
 
 
 def product_with_dual(s: Structure) -> Structure:
     """The direct product of a structure with its dual: its main operation
     is the box product (x,y)(u,v) = (xu, v<>y) and its companion is
-    ((x,y),(u,v)) -> (x<>u, vy).  The kind is verified on the product
-    only, so a mis-tagged s gets the product's witness."""
+    ((x,y),(u,v)) -> (x<>u, vy).  As in direct_product, the kind rests on
+    scans of s and of its dual; if either fails, the product is scanned,
+    so a mis-tagged s gets the product's witness."""
     return direct_product(s, _opposite(s))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import IndexOutOfRange
 from .structures import (
     _TERMS, RACK, WEAK_RACK, WITNESS_CAP, Structure, _from_arrays, _named,
-    _render, _variables,
+    _render, _unverified, _variables,
 )
 from .tables import _scan
 
@@ -174,10 +174,20 @@ def check_trig_properties(ctx: TrigContext,
 
 
 def trig_derived_rack(ctx: TrigContext) -> Structure:
-    """The rack with ab = cos b and a<>b = sin a, verified: a rack exactly
-    when cos and sin at e are mutually inverse, as on every full rack (its
-    self-distributive laws hold for any cos and sin)."""
+    """The rack with ab = cos b and a<>b = sin a, verified.
+
+    Its self-distributive laws hold for any cos and sin: both sides of
+    a(bc) = (ab)(ac) are cos(cos c), and both sides of
+    (c<>b)<>a = (c<>a)<>(b<>a) are sin(sin c).  Its cancellation laws read
+    sin(cos b) = b and cos(sin b) = b, so it is a rack exactly when cos
+    and sin at e are mutually inverse, as on every full rack.  One n-vector
+    check carries its kind: on a finite carrier, sin(cos b) = b for all b
+    makes cos injective, hence a bijection with inverse sin.  If it fails,
+    the full rack scan names the first failed law and witness."""
     n = ctx.s.n
-    dot = np.tile(cos_table(ctx), (n, 1))         # row a is cos, ignores a
-    diamond = np.repeat(sin_table(ctx), n).reshape(n, n)  # column b is sin
+    cos, sin = cos_table(ctx), sin_table(ctx)
+    dot = np.tile(cos, (n, 1))                    # row a is cos, ignores a
+    diamond = np.repeat(sin, n).reshape(n, n)     # column b is sin
+    if (sin[cos] == np.arange(n)).all():
+        return _unverified(dot, diamond, RACK)
     return _from_arrays(dot, diamond, RACK)

@@ -1,10 +1,13 @@
+import functools
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import structures
+from rackwork import structures, trig
 from rackwork.structures import (
     AX_CANCEL_OUT, AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT,
 )
@@ -286,8 +289,9 @@ class TestBooleanWeakRacks:
 
     def test_carrier_cap(self, monkeypatch):
         monkeypatch.delenv("RACKWORK_MAX_N", raising=False)
-        with pytest.raises(rw.CarrierTooLarge):
+        with pytest.raises(rw.CarrierTooLarge) as exc:
             rw.boolean_weak_rack_implication(9)
+        assert str(exc.value) == "carrier 2^9 = 512 exceeds cap"
 
     def test_carrier_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("RACKWORK_MAX_N", "512")
@@ -539,3 +543,208 @@ def test_a_witness_cap_below_one_is_rejected(checker, cap):
     assert not check(1).passed
     with pytest.raises(rw.SizeMismatch, match="max_witnesses"):
         check(cap)
+
+
+# Products and the Boolean weak racks take their kind from scans of their
+# factors; the oracles below build the same tables in plain Python or with
+# bitwise formulas and scan the whole result with structures._verify_kind.
+
+@functools.lru_cache(maxsize=None)
+def _census(n, weak):
+    found = rw.enumerate_weak_racks(n) if weak else rw.enumerate_racks(n)
+    return [(s.dot.tolist(), s.diamond.tolist()) for s in found.structures]
+
+
+@st.composite
+def tagged(draw, kind):
+    """A structure on n <= 4 points tagged `kind` without a check: random
+    tables, which nearly always fail, or a census rack or weak rack, which
+    may be mis-tagged, possibly with one entry changed."""
+    n = draw(st.integers(1, 4))
+    cells = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    weak = n <= 3 and draw(st.booleans())
+    source = draw(st.sampled_from(["census", "census", "changed", "random"]))
+    if source != "random":
+        d, e = draw(st.sampled_from(_census(n, weak)))
+        d, e = [list(row) for row in d], [list(row) for row in e]
+        if source == "changed":
+            t = draw(st.sampled_from((d, e)))
+            t[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = (
+                draw(st.integers(0, n - 1)))
+    else:
+        d, e = draw(cells), draw(cells)
+    return rw.Structure(n, rw.OpTable(n, d), rw.OpTable(n, e), kind)
+
+
+def _pairs(t1, t2):
+    """The componentwise table of t1 and t2 on pairs (x, y) = x*n2 + y."""
+    n1, n2 = len(t1), len(t2)
+    return [[t1[x][u] * n2 + t2[y][v] for u in range(n1) for v in range(n2)]
+            for x in range(n1) for y in range(n2)]
+
+
+def _scanned_product(s1, s2):
+    """The product of s1 and s2 tagged s1.kind, and the message of the
+    KindMismatch that a scan of the whole product raises, or None."""
+    m = s1.n * s2.n
+    p = rw.Structure(m, rw.OpTable(m, _pairs(s1.dot.tolist(), s2.dot.tolist())),
+                     rw.OpTable(m, _pairs(s1.diamond.tolist(),
+                                          s2.diamond.tolist())), s1.kind)
+    try:
+        structures._verify_kind(p)
+    except rw.KindMismatch as exc:
+        return p, str(exc)
+    return p, None
+
+
+def _same_verdict(build, expected, message):
+    """build() gives `expected`, byte for byte, or raises `message`."""
+    if message is not None:
+        with pytest.raises(rw.KindMismatch) as exc:
+            build()
+        assert str(exc.value) == message
+        return
+    got = build()
+    assert got == expected and got.kind == expected.kind
+    for g, e in ((got.dot, expected.dot), (got.diamond, expected.diamond)):
+        assert g.entries.dtype == e.entries.dtype
+        assert g.entries.tobytes() == e.entries.tobytes()
+
+
+KINDS = st.sampled_from([rw.RACK, rw.WEAK_RACK])
+
+
+class TestProductsOnFactors:
+    @settings(max_examples=150, deadline=None)
+    @given(KINDS.flatmap(lambda kind: st.tuples(tagged(kind), tagged(kind))))
+    def test_direct_product_matches_a_scan_of_the_product(self, pair):
+        s1, s2 = pair
+        _same_verdict(lambda: rw.direct_product(s1, s2),
+                      *_scanned_product(s1, s2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(KINDS.flatmap(tagged))
+    def test_product_with_dual_matches_a_scan_of_the_product(self, s):
+        dual = rw.Structure(s.n, rw.OpTable(s.n, s.diamond.entries.T),
+                            rw.OpTable(s.n, s.dot.entries.T), s.kind)
+        _same_verdict(lambda: rw.product_with_dual(s),
+                      *_scanned_product(s, dual))
+
+    @pytest.mark.parametrize("build, carriers", [
+        (lambda: rw.direct_product(rw.trivial_rack(3), rw.trivial_rack(4)),
+         {3, 4}),
+        (lambda: rw.product_with_dual(rw.boolean_weak_rack_lattice(2)),
+         {2, 4}),
+        (lambda: rw.boolean_weak_rack_implication(5), {2}),
+        (lambda: rw.boolean_weak_rack_lattice(0), {2}),
+    ], ids=["direct", "with-dual", "implication", "lattice-k0"])
+    def test_passing_factors_are_scanned_and_the_product_is_not(
+            self, monkeypatch, build, carriers):
+        """Only factor-sized laws are scanned when every factor passes;
+        the factors themselves are built, and scanned, first."""
+        sizes = []
+        real_scan = structures._scan
+
+        def spy(law, n, k, cap):
+            sizes.append(n)
+            return real_scan(law, n, k, cap)
+
+        monkeypatch.setattr(structures, "_scan", spy)
+        build()
+        assert set(sizes) == carriers
+
+    def test_a_failing_factor_scans_the_product(self):
+        s = rw.Structure(2, add_mod(2), add_mod(2), rw.RACK)
+        p, message = _scanned_product(s, rw.trivial_rack(3))
+        # the product's first witness, pairs (1, 0), (0, 0), (0, 0), where
+        # the factor's own is (1, 0, 0)
+        assert message == ("claimed rack violates 'a(bc) = (ab)(ac)' at "
+                           "(3, 0, 0)")
+        _same_verdict(lambda: rw.direct_product(s, rw.trivial_rack(3)),
+                      p, message)
+
+
+def _bitwise(variant, k):
+    """The Boolean weak rack on the subsets of k atoms, as bit masks."""
+    a = np.arange(1 << k)[:, None]
+    b = a.T
+    if variant == "implication":
+        dot, diamond = (~a | b) & ((1 << k) - 1), a & ~b
+    else:
+        dot, diamond = a | b, a & b
+    n = 1 << k
+    return rw.Structure(n, rw.OpTable(n, dot), rw.OpTable(n, diamond),
+                        rw.WEAK_RACK)
+
+
+BOOLEAN = {"implication": rw.boolean_weak_rack_implication,
+           "lattice": rw.boolean_weak_rack_lattice}
+
+
+class TestBooleanPowers:
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("variant", sorted(BOOLEAN))
+    def test_the_power_is_the_bitwise_formula(self, variant, k):
+        _same_verdict(lambda: BOOLEAN[variant](k), _bitwise(variant, k), None)
+
+    @pytest.mark.parametrize("variant", sorted(BOOLEAN))
+    def test_the_power_is_the_bitwise_formula_beyond_the_cap(
+            self, monkeypatch, variant):
+        monkeypatch.setenv("RACKWORK_MAX_N", "512")
+        _same_verdict(lambda: BOOLEAN[variant](9), _bitwise(variant, 9), None)
+
+    @pytest.mark.parametrize("variant, k", [
+        *((variant, k) for variant in sorted(BOOLEAN) for k in (0, 1, 2, 3, 8)),
+        ("lattice", 9)])
+    def test_the_full_scan_passes(self, monkeypatch, variant, k):
+        """Every size that the tests and the benchmark build; 9 only for
+        the lattice, the one built beyond the cap."""
+        monkeypatch.setenv("RACKWORK_MAX_N", "512")
+        s = BOOLEAN[variant](k)
+        assert s.kind == rw.WEAK_RACK
+        assert rw.check_weak_rack_axioms(s).passed
+
+
+@st.composite
+def trig_pairs(draw):
+    """A structure whose dot rows are all cos and whose diamond columns are
+    all sin, and a base point e: cos and sin mutually inverse, inverse on
+    one side only, or random."""
+    n = draw(st.integers(1, 6))
+    cos = draw(st.permutations(range(n)))
+    how = draw(st.sampled_from(["inverse", "one-sided", "random"]))
+    if how == "inverse":
+        sin = list(np.argsort(cos))
+    else:
+        sin = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        if how == "random":
+            cos = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    dot = [list(cos)] * n
+    diamond = [[x] * n for x in sin]
+    s = rw.Structure(n, rw.OpTable(n, dot), rw.OpTable(n, diamond),
+                     rw.UNCHECKED)
+    return rw.make_trig_context(s, draw(st.integers(0, n - 1)), 0)
+
+
+class TestTrigDerivedRack:
+    @settings(max_examples=150, deadline=None)
+    @given(trig_pairs())
+    def test_matches_the_full_rack_scan(self, ctx):
+        n = ctx.s.n
+        dot = np.tile(trig.cos_table(ctx), (n, 1))
+        diamond = np.repeat(trig.sin_table(ctx), n).reshape(n, n)
+        expected = rw.Structure(n, rw.OpTable(n, dot),
+                                rw.OpTable(n, diamond), rw.RACK)
+        try:
+            structures._verify_kind(expected)
+            message = None
+        except rw.KindMismatch as exc:
+            message = str(exc)
+        _same_verdict(lambda: rw.trig_derived_rack(ctx), expected, message)
+
+    def test_a_rack_is_built_without_a_scan(self, monkeypatch, conj_s3):
+        ctx = rw.make_trig_context(conj_s3, 1, 4)
+        scans = scanned(monkeypatch)
+        assert rw.trig_derived_rack(ctx).kind == rw.RACK
+        assert scans == []

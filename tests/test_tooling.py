@@ -299,3 +299,65 @@ def test_the_cli_opens_structure_files_in_one_place():
     its own."""
     source = (ROOT / "src" / "rackwork" / "cli.py").read_text()
     assert load_structure_readers(source) == ["cmd_make", "_open"]
+
+
+def call_sites(source: str, name: str) -> list[str]:
+    """The class and function around each call of `name`, by name or as an
+    attribute, dotted, in source order; "" at module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_call_site_check_finds_each_form():
+    source = ("Structure(1, d, e, k)\n"
+              "class C:\n    def f(self):\n"
+              "        return structures.Structure(n, d, e, k)\n"
+              "def g():\n    def inner():\n        Structure(*args)\n"
+              "    return Structure, _Structure(1)\n")
+    assert call_sites(source, "Structure") == ["", "C.f", "g.inner"]
+
+
+# Every place that makes a Structure, and so sets a kind tag, with what
+# backs the tag: a new one fails the test until its tag is accounted for.
+STRUCTURE_CALLS = {
+    # the census's own verdicts, from _KIND_LAWS
+    "census.py": ["EnumResult.structures"],
+    # a file's tag, taken on trust until a command verifies it
+    "fileio.py": ["load_structure"],
+    # make_structure scans the tag; _unverified carries a tag that its
+    # callers (below) establish; _opposite copies s's tag, which dual_rack
+    # scans and product_with_dual scans as a factor
+    "structures.py": ["make_structure", "_unverified", "_opposite"],
+}
+
+# The callers of structures._unverified, with what backs the tag they set:
+# the one-point structure satisfies every identity and a product passes
+# the laws its factors pass (direct_product scans the factors, the Boolean
+# power its two-point factor); trig_derived_rack checks sin(cos x) = x,
+# which on a finite carrier gives both cancellation laws, the only rack
+# laws that can fail on its tables.
+UNVERIFIED_CALLS = {
+    "structures.py": ["_boolean_power", "_product"],
+    "trig.py": ["trig_derived_rack"],
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_unscanned_kind_tag_is_accounted_for(path):
+    source = path.read_text()
+    assert call_sites(source, "Structure") == STRUCTURE_CALLS.get(path.name, [])
+    assert (call_sites(source, "_unverified")
+            == UNVERIFIED_CALLS.get(path.name, []))
