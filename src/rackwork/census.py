@@ -7,10 +7,10 @@ candidates pair every left (dot) with every right (diamond)
 self-distributive table.  Every candidate is verified through tables._holds
 against the laws its kind claims, selected from structures._laws: the pair
 laws, then the triple laws on the survivors, each once.  So every verdict
-comes from _KIND_LAWS, and completeness rests on the search's pruning by a
-hand-written a(bc) = (ab)(ac), as a compiled law's != mask cannot tell a
-decided failure (both sides below the sentinel n); the count and sha256
-of test_four_point_shelves_pinned and the tests' unpruned searches back it.
+comes from _KIND_LAWS, and the search prunes on the decided failures of
+the same compiled a(bc) = (ab)(ac), read through its two sides
+(structures._sides); the count and sha256 of
+test_four_point_shelves_pinned and the tests' unpruned searches back it.
 
 Counts are labeled: racks on 1..4 points number 1, 2, 13, 114 (1708 on 5
 points, under RACKWORK_MAX_N=5), weak racks on 1..3 points 1, 45, 13352.
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierTooLarge
-from .structures import _KIND_LAWS, RACK, WEAK_RACK, Structure, _named, max_carrier
-from .tables import OpTable, _at, _by_value, _grids, _holds, _invert_rows
+from .structures import (_KIND_LAWS, AX_LEFT_DISTRIB, RACK, WEAK_RACK,
+                         Structure, _named, _sides, max_carrier)
+from .tables import OpTable, _by_value, _grids, _holds, _invert_rows
 
 RACK_ENUM_CAP = 4
 WEAK_ENUM_CAP = 3
@@ -131,12 +132,13 @@ def _left_distributive_tables(n: int, permutation_rows: bool = False) -> np.ndar
     row n and column n, so a term that reads an unfilled cell is n.  At
     each cell every kept table is extended by each value, parent-major,
     and a child is dropped on a decided failure, an instance (a, b, c)
-    with a(bc) != (ab)(ac) where neither side is n.  Filled cells never
-    change, so a decided failure is final; after the last cell every
-    instance is decided, so the kept tables are exactly the left
-    self-distributive ones, in lexicographic order.  An instance whose a
-    or b lies past the current row reads an unfilled row, so the grids of
-    a and b stop there.
+    where the two sides of the compiled a(bc) = (ab)(ac) differ and
+    neither is n.  Filled cells never change, so a decided failure is
+    final; after the last cell every instance is decided, so the kept
+    tables are exactly the left self-distributive ones, in lexicographic
+    order.  An instance whose a or b lies past the current row reads an
+    unfilled row, so the grids of a and b stop there, and the law gathers
+    bc rather than reading the table for it.
     """
     tables = np.full((1, n + 1, n + 1), n, dtype=np.min_scalar_type(n))
     values = np.arange(n, dtype=tables.dtype)
@@ -147,11 +149,12 @@ def _left_distributive_tables(n: int, permutation_rows: bool = False) -> np.ndar
         # n children of n^3 instances apiece per parent
         for blk in _blocks(len(tables), n ** 4):
             t = np.repeat(tables[blk], n, axis=0)
-            t[:, r, col] = np.tile(values, len(t) // n)
+            # a view of the fresh copy: parent p's child i takes value i
+            t.reshape(-1, n, n + 1, n + 1)[:, :, r, col] = values
             if permutation_rows:
                 t = t[~(t[:, r, :col] == t[:, r, col, None]).any(axis=1)]
-            left = _at(t, x, _at(t, y, c))
-            right = _at(t, _at(t, x, y), _at(t, x, c))
+            # the law reads the dot only
+            left, right = _sides(AX_LEFT_DISTRIB, t, t)(x, y, c)
             bad = (left != right) & (np.maximum(left, right) < n)
             kept.append(t[~bad.any(axis=(0, 2, 3))])
         tables = np.concatenate(kept)

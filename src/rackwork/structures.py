@@ -9,11 +9,13 @@ and a companion written a<>b ("diamond").  Full racks satisfy
 weak racks keep both self-distributivities but replace the two cancellation
 laws by the single compatibility (ab)<>a = a(b<>a).  _TERMS states these
 and two more identities as terms, which _laws compiles to gathers; kinds,
-trig, euler and the census select from _laws by name.  All checks are
-exhaustive over the finite carrier and report machine-readable witnesses.
-A constructor's kind rests on such a scan of the structure it returns, or
-of its factors where it is a direct product (Birkhoff's theorem: an
-identity holds on a product exactly when it holds on each factor).
+trig, euler and the census select from _laws by name, and the census
+search prunes on the two sides of a(bc) = (ab)(ac) from _sides.  All
+checks are exhaustive over the finite carrier and report machine-readable
+witnesses.  A constructor's kind rests on such a scan of the structure it
+returns, or of its factors where it is a direct product (Birkhoff's
+theorem: an identity holds on a product exactly when it holds on each
+factor).
 """
 
 from __future__ import annotations
@@ -152,42 +154,62 @@ class Structure:
 
 def _gather(term, axes):
     """term as a function of the tables (d, t), t the transposed diamond,
-    and the values v of `axes`: x.y is _at(d, x, y), x<>y is _at(t, y, x),
-    and a subterm over the axes after the first, in order, is the table."""
+    and the values v of `axes`: x.y is _at(d, x, y) and x<>y is _at(t, y, x).
+    A subterm over the axes after the first, in order, is the table itself
+    where the grids of those two axes span it, as _scan's and _holds's do;
+    where they do not, at a head that fixes one of them or on the census's
+    filled-row grids, it is gathered."""
     if isinstance(term, str):
         i = axes.index(term)
         return lambda tabs, v: v[i]
     op, x, y = term
     k, i, j = (0, x, y) if op == "dot" else (1, y, x)
     if (i, j) == axes[1:]:
-        return lambda tabs, v: tabs[k]
+        def table(tabs, v):
+            t, vi, vj = tabs[k], v[1], v[2]
+            if type(vi) is np.ndarray and vi.size == vj.size == t.shape[-1]:
+                return t
+            return _at(t, vi, vj)
+        return table
     gi, gj = _gather(i, axes), _gather(j, axes)
     return lambda tabs, v: _at(tabs[k], gi(tabs, v), gj(tabs, v))
 
 
 def _compile(law):
-    """(name, arity, bind): bind((d, t)) maps the values of the law's
-    variables, in alphabetical order, to its failure mask."""
+    """(name, arity, sides, mask), the law's two sides compiled once:
+    sides((d, t)) maps the values of its variables, in alphabetical order,
+    to the pair of its two sides, and mask((d, t)) to lhs != rhs."""
     axes = tuple(sorted(_variables(law)))
     lhs, rhs = (_gather(side, axes) for side in law)
     return (_render(law), len(axes),
+            lambda tabs: lambda *v: (lhs(tabs, v), rhs(tabs, v)),
             lambda tabs: lambda *v: lhs(tabs, v) != rhs(tabs, v))
 
 
-_COMPILED = tuple(map(_compile, _TERMS))
+_COMPILED = {name: rest for name, *rest in map(_compile, _TERMS)}
 
 
 def _laws(d, e):
     """The laws of _TERMS as (name, arity, law) on a dot table d and a
     diamond table e, or on stacks of them (see tables._holds)."""
     tabs = _narrow(d), _narrow(np.swapaxes(e, -1, -2))
-    return tuple((name, k, bind(tabs)) for name, k, bind in _COMPILED)
+    return tuple((name, k, mask(tabs))
+                 for name, (k, _, mask) in _COMPILED.items())
 
 
 def _named(names, d, e):
     """The laws of _laws(d, e) called `names`, in that order."""
     laws = {law[0]: law for law in _laws(d, e)}
     return [laws[name] for name in names]
+
+
+def _sides(name, d, e):
+    """The two sides of the law `name` on a dot table d and a diamond
+    table e, or stacks of them, bound as they are, with no _narrow copy:
+    sides(*v) is (lhs, rhs) at the values v of the law's variables.  The
+    census binds its partial tables, whose sentinel tells a decided
+    failure from an unfilled cell."""
+    return _COMPILED[name][1]((d, e.swapaxes(-1, -2)))
 
 
 def _hom(f, t1, t2):

@@ -132,11 +132,12 @@ def _scan(law, n: int, k: int, cap: int, heads=None) -> list[tuple[int, ...]]:
     _grids for the remaining variables, and its mask is over those
     variables alone.  The heads walk all variables but the last two (one
     call for k <= 2, n for k = 3) unless the caller lists its own, which
-    must be in lexicographic order.  Laws gather with _at from tables
-    passed through _narrow (a column against a row takes _at's outer
-    form); structures._gather compiles them so that a subterm over the
-    last two variables is the table, not gathered again for every head,
-    and a head that fixes one of those two variables raises ValueError.
+    must be in lexicographic order; a head may fix any variable but the
+    last.  Laws gather with _at from tables passed through _narrow (a
+    column against a row takes _at's outer form); structures._gather
+    compiles them so that a subterm over the last two variables is the
+    table where their grids span it, not gathered again for every head,
+    and is gathered where a head fixes one of them.
     """
     if cap < 1:
         raise SizeMismatch(f"max_witnesses must be at least 1, got {cap}")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import census, cli
-from rackwork.structures import _KIND_LAWS, _named
+from rackwork.structures import _KIND_LAWS, _named, classify
 from rackwork.tables import _holds, _invert_rows
 
 
@@ -230,6 +230,42 @@ def test_four_point_shelves_pinned():
     assert (t.shape, t.dtype, hashlib.sha256(t.tobytes()).hexdigest()) == (
         (14067, 4, 4), np.uint8,
         "75b8d3c2b0433758f13e1611885709392ead4e8d85636783e9aa8d6651d17dfe")
+
+
+def laver_table(k):
+    """The Laver table A_k on 0..2^k - 1, with 0 standing for 2^k: row 0
+    is the identity, and the rows below it are filled from the top down
+    by p*1 = p+1 (mod 2^k) and p*(q+1) = (p*q)*(p+1), which reads only
+    rows above p.  The recursion states no law."""
+    size = 1 << k
+    t = [list(range(size))] + [[0] * size for _ in range(size - 1)]
+    for p in range(size - 1, 0, -1):
+        t[p][1 % size] = (p + 1) % size
+        for q in range(1, size):
+            t[p][(q + 1) % size] = t[t[p][q]][(p + 1) % size]
+    return t
+
+
+def test_laver_tables_are_shelves_past_the_census():
+    """A_0..A_8 with the projection diamond x<>y = x are weak racks
+    (a rack only on one point), p -> p mod 2^(k-1) maps A_k onto A_(k-1),
+    and A_2 is one of the census's shelves on 4 points: a check of the
+    compiled left self-distributivity on up to 256 points, on tables that
+    no search built."""
+    smaller = None
+    for k in range(9):
+        size = 1 << k
+        s = rw.make_structure(
+            rw.OpTable(size, laver_table(k)),
+            rw.OpTable(size, [[x] * size for x in range(size)]))
+        assert rw.check_weak_rack_axioms(s).passed
+        assert classify(s)[0] == (rw.RACK if k == 0 else rw.WEAK_RACK)
+        if smaller:
+            images = [p % (size // 2) for p in range(size)]
+            assert rw.check_morphism(images, s, smaller).passed
+        smaller = s
+    shelves = census._left_distributive_tables(4)
+    assert (shelves == np.array(laver_table(2))).all(axis=(1, 2)).sum() == 1
 
 
 def record_digest(structures):

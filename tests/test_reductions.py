@@ -21,6 +21,7 @@ over the tables' entries.
 import functools
 import itertools
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +30,9 @@ from rackwork import euler, trig
 from rackwork.structures import (
     AX_CANCEL_IN, AX_CANCEL_OUT, AX_DIAMOND_DOT, AX_DOT_DIAMOND,
     AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT, WITNESS_CAP, _laws,
-    _named, _opposite, _render, _TERMS, classify,
+    _named, _opposite, _render, _sides, _TERMS, classify,
 )
-from rackwork.tables import _scan
+from rackwork.tables import _grids, _scan
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,26 +150,33 @@ def test_euler_identity_clause_is_sin_pi(case):
     assert sin_pi.passed == ((o,) not in _at_base(s, trig.P_SIN_COS, e))
 
 
+def _loop_sides(d, e):
+    """Each axiom's two sides as plain functions of its variables on the
+    nested lists d and e, keyed by axiom name."""
+    return {
+        AX_LEFT_DISTRIB: (lambda a, b, c: d[a][d[b][c]],
+                          lambda a, b, c: d[d[a][b]][d[a][c]]),
+        AX_DOT_DIAMOND: (lambda a, b, c: d[a][e[c][b]],
+                         lambda a, b, c: e[d[a][c]][d[a][b]]),
+        AX_DIAMOND_DOT: (lambda a, b, c: e[d[b][c]][a],
+                         lambda a, b, c: d[e[b][a]][e[c][a]]),
+        AX_RIGHT_DISTRIB: (lambda a, b, c: e[e[c][b]][a],
+                           lambda a, b, c: e[e[c][a]][e[b][a]]),
+        AX_CANCEL_OUT: (lambda a, b: e[d[a][b]][a], lambda a, b: b),
+        AX_CANCEL_IN: (lambda a, b: d[a][e[b][a]], lambda a, b: b),
+        AX_WEAK_COMPAT: (lambda a, b: e[d[a][b]][a],
+                         lambda a, b: d[a][e[b][a]]),
+    }
+
+
 def _loop_failures(s):
     """Each axiom's witnesses on s by nested loops over its tables, in
     lexicographic order, keyed by axiom name."""
-    n, d, e = s.n, s.dot.tolist(), s.diamond.tolist()
-    pairs = list(itertools.product(range(n), repeat=2))
-    triples = list(itertools.product(range(n), repeat=3))
-    return {
-        AX_LEFT_DISTRIB: [(a, b, c) for a, b, c in triples
-                          if d[a][d[b][c]] != d[d[a][b]][d[a][c]]],
-        AX_CANCEL_OUT: [(a, b) for a, b in pairs if e[d[a][b]][a] != b],
-        AX_CANCEL_IN: [(a, b) for a, b in pairs if d[a][e[b][a]] != b],
-        AX_WEAK_COMPAT: [(a, b) for a, b in pairs
-                         if e[d[a][b]][a] != d[a][e[b][a]]],
-        AX_RIGHT_DISTRIB: [(a, b, c) for a, b, c in triples
-                           if e[e[c][b]][a] != e[e[c][a]][e[b][a]]],
-        AX_DOT_DIAMOND: [(a, b, c) for a, b, c in triples
-                         if d[a][e[c][b]] != e[d[a][c]][d[a][b]]],
-        AX_DIAMOND_DOT: [(a, b, c) for a, b, c in triples
-                         if e[d[b][c]][a] != d[e[b][a]][e[c][a]]],
-    }
+    sides = _loop_sides(s.dot.tolist(), s.diamond.tolist())
+    return {name: [w for w in itertools.product(
+                       range(s.n), repeat=lhs.__code__.co_argcount)
+                   if lhs(*w) != rhs(*w)]
+            for name, (lhs, rhs) in sides.items()}
 
 
 @settings(max_examples=80, deadline=None)
@@ -182,18 +190,86 @@ def test_every_law_matches_nested_loops(case):
             for name, k, law in laws} == _loop_failures(s)
 
 
+@st.composite
+def stacks(draw):
+    """(n, d, e, unfilled, p, q): m <= 3 stacked pairs of n x n tables
+    with n <= 5, a mask of cells that a partial table leaves unfilled, and
+    the number of points p and q that grids may stop at."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+
+    def stack(values):
+        cells = st.lists(values, min_size=m * n * n, max_size=m * n * n)
+        return np.array(draw(cells)).reshape(m, n, n)
+
+    cell = st.integers(0, n - 1)
+    return (n, stack(cell), stack(cell), stack(st.booleans()),
+            draw(st.integers(1, n)), draw(st.integers(1, n)))
+
+
+def _loop_values(f, ranges):
+    """f at every point of the product of ranges, as an array."""
+    return np.array([f(*w) for w in itertools.product(*ranges)]).reshape(
+        [len(r) for r in ranges])
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks())
+def test_sides_match_nested_loops(case):
+    """At every instance of each of the seven laws, both sides from
+    structures._sides equal plain loops over the tables, and lhs != rhs is
+    the mask of _laws.  On one table, at every head _scan may pass; on a
+    stack with the batch axis second, with whole grids (the table stands
+    for bc there) and with a, b and c stopping short; and in the census's
+    form, partial tables padded with the sentinel n whose a and b grids
+    stop at the filled rows (bc is gathered there)."""
+    n, d, e, unfilled, p, q = case
+    for name, k, law in _laws(d[0], e[0]):
+        sides = _sides(name, d[0], e[0])
+        loops = _loop_sides(d[0].tolist(), e[0].tolist())[name]
+        for length in range(k):
+            for head in itertools.product(range(n), repeat=length):
+                grids, shape = _grids(n, k - length), (n,) * (k - length)
+                got = [np.broadcast_to(side, shape)
+                       for side in sides(*head, *grids)]
+                for side, f in zip(got, loops):
+                    want = _loop_values(functools.partial(f, *head),
+                                        [range(n)] * (k - length))
+                    assert (side == want).all()
+                mask = np.broadcast_to(law(*head, *grids), shape)
+                assert (mask == (got[0] != got[1])).all()
+    padded = np.full((2, len(d), n + 1, n + 1), n)
+    padded[:, :, :n, :n] = np.where(unfilled, n, (d, e))
+    for (dd, ee), points in (((d, e), (n, n, n)), ((d, e), (p, p, q)),
+                             (padded, (p, p, n))):
+        for name, k, law in _laws(dd, ee):
+            ranges = [range(stop) for stop in points[:k]]
+            grids = [g[:, None] for g in np.ix_(*ranges)]
+            shape = (len(ranges[0]), len(dd), *map(len, ranges[1:]))
+            got = [np.broadcast_to(side, shape)
+                   for side in _sides(name, dd, ee)(*grids)]
+            for s in range(len(dd)):
+                loops = _loop_sides(dd[s].tolist(), ee[s].tolist())[name]
+                for side, f in zip(got, loops):
+                    assert (side[:, s] == _loop_values(f, ranges)).all()
+            mask = np.broadcast_to(law(*grids), shape)
+            assert (mask == (got[0] != got[1])).all()
+
+
 @settings(max_examples=80, deadline=None)
 @given(contexts())
 def test_one_value_heads_walk_as_the_default(case):
     """A caller may fix the first variable of any law of structures._laws,
-    as trig does at the base point, and reads the default walk's witnesses
-    under every cap."""
+    as trig does at the base point, or any longer prefix of its variables
+    short of the last, and reads the default walk's witnesses under every
+    cap: a head that fixes b of a triple law gathers bc, where the default
+    walk reads the table for it."""
     s, _, _ = case
     n = s.n
-    heads = [(a,) for a in range(n)]
     for _, k, law in _laws(s.dot.entries, s.diamond.entries):
-        for cap in (1, 3, n ** 3):
-            assert _scan(law, n, k, cap, heads) == _scan(law, n, k, cap)
+        for length in range(k):
+            heads = list(itertools.product(range(n), repeat=length))
+            for cap in (1, 3, n ** 3):
+                assert _scan(law, n, k, cap, heads) == _scan(law, n, k, cap)
 
 
 def _mirror(term):

@@ -174,10 +174,11 @@ def test_the_gather_import_check_finds_each_form():
     assert gathers_imported(source) == ["_at", "_at", "_narrow"]
 
 
-@pytest.mark.parametrize("name", ["trig.py", "euler.py"])
+@pytest.mark.parametrize("name", ["trig.py", "euler.py", "census.py"])
 def test_trig_and_euler_state_no_law(name):
-    """trig and euler select their laws from structures._laws, so they
-    gather from no table themselves."""
+    """trig and euler select their laws from structures._laws, and the
+    census search prunes on the sides of a law from structures._sides, so
+    none of them gathers from a table itself."""
     source = (ROOT / "src" / "rackwork" / name).read_text()
     assert gathers_imported(source) == []
 
