@@ -1,15 +1,17 @@
 """Exhaustive enumeration of racks and weak racks on tiny carriers.
 
 The searches build stacks of candidate tables, shape (m, n, n).  Rack dot
-tables have permutation rows (the cancellation axioms force that) and the
-diamond is derived from the dot as derive_diamond does; weak-rack
-candidates pair every left (dot) with every right (diamond)
-self-distributive table.  Every candidate is verified through tables._holds
-against the laws its kind claims, selected from structures._laws: the pair
-laws, then the triple laws on the survivors, each once.  So every verdict
-comes from _KIND_LAWS, and the search prunes on the decided failures of
-the same compiled a(bc) = (ab)(ac), read through its two sides
-(structures._sides); the count and sha256 of
+tables have permutation rows (the cancellation axioms force that), the
+diamond is derived from the dot as derive_diamond does, and every candidate
+is verified through tables._holds against the laws of its kind, selected
+from structures._laws: the pair laws, then the triple laws on the
+survivors, each once.  A weak rack pairs a left (dot) with a right
+(diamond) self-distributive table; each law that reads one table is
+verified once on the stack of that table, and the pairs are the join of
+the two stacks on commuting translations, on which the one law that reads
+both tables is verified.  So every verdict comes from _KIND_LAWS, and the
+search prunes on the decided failures of the same compiled a(bc) = (ab)(ac),
+read through its two sides (structures._sides); the count and sha256 of
 test_four_point_shelves_pinned and the tests' unpruned searches back it.
 
 Counts are labeled: racks on 1..4 points number 1, 2, 13, 114 (1708 on 5
@@ -30,15 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CarrierTooLarge
-from .structures import (_KIND_LAWS, AX_LEFT_DISTRIB, RACK, WEAK_RACK,
-                         Structure, _named, _sides, max_carrier)
+from .structures import (_COMPILED, _KIND_LAWS, _READS, AX_LEFT_DISTRIB, RACK,
+                         WEAK_RACK, Structure, _named, _sides, max_carrier)
 from .tables import OpTable, _by_value, _grids, _holds, _invert_rows
 
 RACK_ENUM_CAP = 4
 WEAK_ENUM_CAP = 3
 
-# bytes of int64 gather indices per census block under the pair laws; the
-# triple laws on a block's survivors may take up to n times as many
+# bytes of int64 gather indices per census block
 _SLAB_CELLS = 1 << 18
 
 
@@ -73,54 +74,63 @@ def _blocks(m: int, cells: int):
     that a block's int64 gather indices take at most _SLAB_CELLS bytes.
     _SLAB_CELLS is the census's own bound, as _holds evaluates each law on
     a whole block at once, where tables._scan walks one head at a time.
-    Candidate blocks cost n^2 cells per pair under the pair laws; the
-    triple laws, n^3 cells per pair, run on a block's survivors only, so
-    they take up to n times the bound when every candidate survives.  The
-    search of _left_distributive_tables blocks its partial tables at n^4
-    cells apiece, n children of n^3 instances each."""
+    The censuses verify laws of arity k at n^k cells per item, and the weak
+    census joins its tables at n cells per (dot, diamond) pair.  The search
+    of _left_distributive_tables blocks its partial tables at n^4 cells
+    apiece, n children of n^3 instances each."""
     step = max(1, _SLAB_CELLS // 8 // cells)
     return (slice(i, i + step) for i in range(0, m, step))
+
+
+def _fixes(t: np.ndarray) -> np.ndarray:
+    """Masks, shape (n!, m), one row per carrier permutation in the order
+    of itertools.permutations, of the items of a stack t, shape
+    (m, ..., n, n), that relabeling by the permutation leaves unchanged:
+    an item is fixed when each of its tables is.  One gather per
+    permutation relabels the whole stack."""
+    rows = []
+    for p in itertools.permutations(range(t.shape[-1])):
+        p = np.array(p, dtype=t.dtype)
+        q = np.argsort(p)
+        # relabeled[p[a], p[b]] = p[table[a, b]]
+        rows.append((p[t[..., q[:, None], q]] == t).all(axis=tuple(range(1, t.ndim))))
+    return np.array(rows)
 
 
 def _fixed(d: np.ndarray, e: np.ndarray) -> int:
     """The number of (permutation, structure) pairs, over all carrier
     permutations and the (dot, diamond) stacks d, e, in which relabeling
-    by the permutation leaves the structure unchanged.  One gather per
-    permutation relabels the whole block."""
-    t = np.stack((d, e), axis=1)
-    fixed = 0
-    for p in itertools.permutations(range(t.shape[-1])):
-        p = np.array(p, dtype=t.dtype)
-        q = np.argsort(p)
-        # relabeled[p[a], p[b]] = p[table[a, b]]
-        fixed += int((p[t[:, :, q[:, None], q]] == t).all(axis=(1, 2, 3)).sum())
-    return fixed
+    by the permutation leaves the structure unchanged."""
+    return int(_fixes(np.stack((d, e), axis=1)).sum())
 
 
-def _census(n: int, kind: str, candidates) -> EnumResult:
-    """The (dot, diamond) pairs of the candidate stacks that `candidates`
-    yields which pass every law that `kind` claims, in their order: on
-    each candidate block _holds applies the pair laws (arity 2), then the
-    triple laws to the survivors, each law once.
+def _fixed_pairs(d: np.ndarray, e: np.ndarray, pairs: np.ndarray) -> int:
+    """_fixed of the pairs (d[x], e[y]) where pairs[x, y] is True, for
+    stacks d, e, without building them: relabeling acts on each table, so
+    a permutation fixes a pair exactly when it fixes both of its tables,
+    and the pairs it fixes are those among the tables its masks of _fixes
+    keep."""
+    return sum(np.count_nonzero(pairs[x][:, y])
+               for x, y in zip(_fixes(d), _fixes(e)))
 
-    The pairs are closed under relabeling, so by Burnside's lemma there are
-    (the sum of _fixed over the verified blocks) / n! isomorphism classes;
-    for racks the dot determines the diamond, so a permutation fixes the
-    pair exactly when it fixes the dot."""
-    found, fixed = [], 0
-    for d, e in candidates:
-        for k in (2, 3):
-            laws = [law for law in _named(_KIND_LAWS[kind], d, e) if law[1] == k]
-            ok = _holds(laws, n, len(d))
-            d, e = d[ok], e[ok]
-        found.append((d, e))
-        fixed += _fixed(d, e)
-    # the trivial rack passes on every carrier, so `found` is not empty
-    dots, diamonds = (np.concatenate(x) for x in zip(*found))
+
+def _result(n: int, kind: str, dots, diamonds, fixed: int) -> EnumResult:
+    """The census of verified stacks, read-only, whose (permutation,
+    structure) fixed pairs number `fixed`: the stacks are closed under
+    relabeling, so by Burnside's lemma they hold fixed / n! classes."""
     dots.setflags(write=False)
     diamonds.setflags(write=False)
     return EnumResult(n=n, kind=kind, dots=dots, diamonds=diamonds,
                       iso_count=fixed // math.factorial(n))
+
+
+def _passing(names, n: int, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per item of the (dot, diamond) stacks d, e, whether every law called
+    `names` holds, by _holds in _blocks of n^k cells per item for laws of
+    arity up to k."""
+    cells = n ** max(_COMPILED[name][0] for name in names)
+    return np.concatenate([_holds(_named(names, d[b], e[b]), n, len(d[b]))
+                           for b in _blocks(len(d), cells)])
 
 
 def _left_distributive_tables(n: int, permutation_rows: bool = False) -> np.ndarray:
@@ -171,28 +181,72 @@ def enumerate_racks(n: int) -> EnumResult:
         raise CarrierTooLarge(f"rack enumeration supports 1 <= n <= {cap}")
     dots = _left_distributive_tables(n, permutation_rows=True)
     diamonds = _invert_rows(dots).astype(dots.dtype)
-    blocks = _blocks(len(dots), n ** 2)
-    return _census(n, RACK, ((dots[b], diamonds[b]) for b in blocks))
+    # the pair laws on every candidate, then the triple laws on the survivors
+    for k in (2, 3):
+        ok = _passing([name for name in _KIND_LAWS[RACK] if _COMPILED[name][0] == k],
+                      n, dots, diamonds)
+        dots, diamonds = dots[ok], diamonds[ok]
+    return _result(n, RACK, dots, diamonds, _fixed(dots, diamonds))
+
+
+def _commute_table(n: int) -> np.ndarray:
+    """c[f, g], over the n^n self-maps of 0..n-1 coded as base-n integers
+    (the map x -> v_x as sum v_x n^(n-1-x)), is whether f and g commute."""
+    maps = np.indices((n,) * n).reshape(n, -1).T   # row k is the map coded k
+    fg = maps[:, maps]                              # fg[f, g, x] = f(g(x))
+    return (fg == fg.swapaxes(0, 1)).all(axis=-1)
 
 
 def enumerate_weak_racks(n: int) -> EnumResult:
     """All labeled weak racks (dot, diamond) on 0..n-1, in lexicographic
     order of (dot, diamond).
 
-    Dot candidates are pruned on left self-distributivity and diamond
-    candidates on right self-distributivity; each dot is paired with every
-    diamond, and _census verifies the pairs against the full axiom set.
+    The dots are the shelves (left self-distributive tables) and the
+    diamonds their transposes (the right self-distributive tables), each
+    verified once on the laws of _KIND_LAWS[WEAK_RACK] that read that table
+    alone.  The compatibility law (ab)<>a = a(b<>a), the one law that reads
+    both, says R_a(L_a(b)) = L_a(R_a(b)) for the translations L_a(b) = ab
+    and R_a(b) = b<>a: so the pairs are the join of the two stacks on
+    translations that commute at every a, looked up in one n^n x n^n
+    commute table, and that law is verified on the joined pairs alone.
+    The class count reads per-table fixed masks (_fixed_pairs).
     """
     cap = max_carrier(WEAK_ENUM_CAP)
     if not 1 <= n <= cap:
         raise CarrierTooLarge(f"weak-rack enumeration supports 1 <= n <= {cap}")
+
+    def reading(*ops):
+        """The laws of the kind that read exactly the tables `ops`."""
+        return [name for name in _KIND_LAWS[WEAK_RACK] if _READS[name] == set(ops)]
+
     dots = _left_distributive_tables(n)
     # the transposes are the right self-distributive tables, sorted by a
     # lexsort: np.unique(axis=0) would import numpy.ma on its first call
     flat = dots.swapaxes(1, 2).reshape(len(dots), -1)
     diamonds = flat[np.lexsort(flat.T[::-1])].reshape(-1, n, n)
-    # every pair of a block of dots with every diamond, dot-major
-    pairs = ((np.repeat(dots[blk], len(diamonds), axis=0),
-              np.tile(diamonds, (len(dots[blk]), 1, 1)))
-             for blk in _blocks(len(dots), len(diamonds) * n ** 2))
-    return _census(n, WEAK_RACK, pairs)
+    # a law that reads one table never reads the other stack, so the same
+    # stack stands in for both
+    dots = dots[_passing(reading("dot"), n, dots, dots)]
+    diamonds = diamonds[_passing(reading("dia"), n, diamonds, diamonds)]
+    # codes of L_a, row a of a dot, and of R_a, column a of a diamond, by a
+    # product and a sum: the first matmul of a process pages in 128 KB
+    weights = n ** np.arange(n - 1, -1, -1)
+    left = (dots * weights).sum(axis=-1)
+    right = (diamonds.swapaxes(1, 2) * weights).sum(axis=-1)
+    commute = _commute_table(n)
+
+    def joined(b):
+        """For the dots of block b against every diamond, whether their
+        translations commute at every a."""
+        return np.logical_and.reduce(
+            [commute[left[b, a]][:, right[:, a]] for a in range(n)])
+
+    # pairs[x, y]: dot x joins diamond y; its row-major order over the
+    # lexsorted stacks is the (dot, diamond) lexicographic order
+    pairs = np.concatenate(
+        [joined(b) for b in _blocks(len(dots), len(diamonds) * n)])
+    d = np.repeat(dots, pairs.sum(axis=1), axis=0)
+    e = np.broadcast_to(diamonds, (len(dots), *diamonds.shape))[pairs]
+    ok = _passing(reading("dot", "dia"), n, d, e)
+    pairs[pairs] = ok
+    return _result(n, WEAK_RACK, d[ok], e[ok], _fixed_pairs(dots, diamonds, pairs))

@@ -79,6 +79,14 @@ def _variables(term) -> tuple[str, ...]:
     return tuple(dict.fromkeys(found))
 
 
+def _ops(term) -> frozenset[str]:
+    """The operations, "dot" and "dia", that a term, or a law, applies."""
+    if isinstance(term, str):
+        return frozenset()
+    head = {term[0]} if len(term) == 3 else set()
+    return frozenset(head.union(*map(_ops, term[-2:])))
+
+
 # axiom identifiers, used verbatim in reports
 (AX_LEFT_DISTRIB, AX_DOT_DIAMOND, AX_DIAMOND_DOT, AX_RIGHT_DISTRIB,
  AX_CANCEL_OUT, AX_CANCEL_IN, AX_WEAK_COMPAT) = map(_render, _TERMS)
@@ -187,6 +195,10 @@ def _compile(law):
 
 
 _COMPILED = {name: rest for name, *rest in map(_compile, _TERMS)}
+
+# the tables each law reads, by name: the weak-rack census verifies a law
+# that reads one table on the stack of that table alone
+_READS = {_render(law): _ops(law) for law in _TERMS}
 
 
 def _laws(d, e):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import census, cli
-from rackwork.structures import _KIND_LAWS, _named, classify
-from rackwork.tables import _holds, _invert_rows
+from rackwork.structures import (_KIND_LAWS, _READS, AX_LEFT_DISTRIB,
+                                 AX_RIGHT_DISTRIB, AX_WEAK_COMPAT, _laws,
+                                 _named, classify)
+from rackwork.tables import _grids, _holds, _invert_rows
 
 
 def brute_force_rack_dots(n):
@@ -475,11 +477,15 @@ def test_stacked_verdicts_match_the_axiom_checkers(case):
 
 
 @pytest.mark.parametrize("enumerate_, n", [(rw.enumerate_racks, 3),
-                                          (rw.enumerate_weak_racks, 2)])
+                                          (rw.enumerate_weak_racks, 2),
+                                          (rw.enumerate_weak_racks, 3)])
 def test_each_census_law_runs_once(enumerate_, n, monkeypatch):
-    """Every law of the kind is evaluated once per candidate: the pair
-    laws on every candidate, the triple laws on the pair laws' survivors,
-    never the two arities in one call."""
+    """Every law of the kind is evaluated once per table or pair it reads,
+    never two arities in one call.  Racks: the pair laws on every
+    candidate, the triple laws on the pair laws' survivors.  Weak racks:
+    left self-distributivity once per shelf, right self-distributivity once
+    per diamond (the shelves' transposes), and the compatibility law once
+    per joined pair, every one of which it keeps."""
     calls = []
     real_holds = census._holds
 
@@ -489,14 +495,130 @@ def test_each_census_law_runs_once(enumerate_, n, monkeypatch):
 
     monkeypatch.setattr(census, "_holds", spy)
     res = enumerate_(n)
-    racks = enumerate_ is rw.enumerate_racks
-    tables = len(census._left_distributive_tables(n, permutation_rows=racks))
-    candidates = tables if racks else tables ** 2
     sizes = {}
     for laws, m in calls:
         assert len({k for _, k in laws}) == 1
         for law in laws:
             sizes[law] = sizes.get(law, 0) + m
+    if enumerate_ is rw.enumerate_racks:
+        candidates = len(census._left_distributive_tables(n, permutation_rows=True))
+        t = np.zeros((1, 1), dtype=int)
+        assert sizes == {(name, k): candidates if k == 2 else res.count
+                         for name, k, _ in _named(_KIND_LAWS[res.kind], t, t)}
+    else:
+        shelves = len(census._left_distributive_tables(n))
+        assert sizes == {(AX_LEFT_DISTRIB, 3): shelves,
+                         (AX_RIGHT_DISTRIB, 3): shelves,
+                         (AX_WEAK_COMPAT, 2): res.count}
+
+
+def test_each_law_reads_the_tables_its_terms_apply():
+    """The tables each law reads, read off its terms: left
+    self-distributivity reads the dot alone, right self-distributivity
+    the diamond alone, and the other five laws both."""
     t = np.zeros((1, 1), dtype=int)
-    assert sizes == {(name, k): candidates if k == 2 else res.count
-                     for name, k, _ in _named(_KIND_LAWS[res.kind], t, t)}
+    alone = {AX_LEFT_DISTRIB: {"dot"}, AX_RIGHT_DISTRIB: {"dia"}}
+    assert _READS == {name: alone.get(name, {"dot", "dia"})
+                      for name, _, _ in _laws(t, t)}
+
+
+@st.composite
+def unchecked_pairs(draw):
+    """A (dot, diamond) pair of random tables on n <= 4 points."""
+    n = draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    return n, stack(draw(cells), n)[0], stack(draw(cells), n)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unchecked_pairs())
+def test_compatibility_fails_where_translations_do_not_commute(case):
+    """The compatibility law (ab)<>a = a(b<>a) fails at (a, b) exactly where
+    R_a(L_a(b)) != L_a(R_a(b)), for L_a(x) = ax and R_a(x) = x<>a: the
+    theorem the weak census joins on."""
+    n, d, e = case
+    law = {name: law for name, _, law in _laws(d, e)}[AX_WEAK_COMPAT]
+    mask = np.broadcast_to(law(*_grids(n, 2)), (n, n))
+
+    def left(a, x):
+        return int(d[a, x])
+
+    def right(a, x):
+        return int(e[x, a])
+
+    assert mask.tolist() == [[right(a, left(a, b)) != left(a, right(a, b))
+                              for b in range(n)] for a in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_commute_table_matches_composition(n):
+    """Entry (f, g) of the commute table, over the self-maps of n points
+    coded as base-n integers with the image of 0 as the leading digit, is
+    whether f(g(x)) = g(f(x)) for every x."""
+    maps = [[code // n ** (n - 1 - x) % n for x in range(n)]
+            for code in range(n ** n)]
+    assert census._commute_table(n).tolist() == [
+        [all(f[g[x]] == g[f[x]] for x in range(n)) for g in maps] for f in maps]
+
+
+@pytest.mark.parametrize("slab", [census._SLAB_CELLS, 1])
+def test_weak_census_across_blocks(monkeypatch, slab):
+    """The weak census returns the same stacks, in dtype, shape and bytes,
+    and the same class count, with its default block bound and with
+    blocks of one table or pair each."""
+    default = [rw.enumerate_weak_racks(n) for n in (1, 2, 3)]
+    monkeypatch.setattr(census, "_SLAB_CELLS", slab)
+    for n, want in zip((1, 2, 3), default):
+        got = rw.enumerate_weak_racks(n)
+        for g, w in ((got.dots, want.dots), (got.diamonds, want.diamonds)):
+            assert (g.dtype, g.shape, g.tobytes()) == (
+                w.dtype, w.shape, w.tobytes()), n
+        assert got.iso_count == want.iso_count, n
+
+
+@functools.lru_cache(maxsize=None)
+def weak_join(n):
+    """The shelves and the sorted diamonds on n points, and the weak
+    census's pairs as a mask over them, found by value."""
+    shelves = census._left_distributive_tables(n)
+    t = shelves.swapaxes(1, 2).reshape(len(shelves), -1)
+    diamonds = t[np.lexsort(t.T[::-1])].reshape(-1, n, n)
+    res = rw.enumerate_weak_racks(n)
+
+    def index(tables, found):
+        position = {t.tobytes(): k for k, t in enumerate(tables)}
+        return [position[x.tobytes()] for x in found]
+
+    pairs = np.zeros((len(shelves), len(diamonds)), dtype=bool)
+    pairs[index(shelves, res.dots), index(diamonds, res.diamonds)] = True
+    return shelves, diamonds, pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fixed_pairs_count_the_weak_census(n):
+    """The per-table mask count over the census's pairs equals _fixed on
+    the census's own pair stacks, n! times the class count."""
+    shelves, diamonds, pairs = weak_join(n)
+    res = rw.enumerate_weak_racks(n)
+    fixed = census._fixed_pairs(shelves, diamonds, pairs)
+    assert fixed == census._fixed(res.dots, res.diamonds)
+    assert fixed == res.iso_count * math.factorial(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fixed_pairs_match_fixed_on_sub_stacks(data):
+    """On random sets of pairs, sub-sets of the census or any pairs of
+    shelves and diamonds, the per-table mask count equals _fixed on the
+    pairs built explicitly: such stacks are not closed under relabeling,
+    so every permutation's count matters."""
+    n = data.draw(st.integers(1, 3))
+    shelves, diamonds, census_pairs = weak_join(n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = rng.random(census_pairs.shape) < data.draw(st.sampled_from(
+        (0.0, 0.001, 0.1, 0.5, 1.0)))
+    if data.draw(st.booleans()):
+        pairs &= census_pairs
+    i, j = np.nonzero(pairs)
+    assert census._fixed_pairs(shelves, diamonds, pairs) == census._fixed(
+        shelves[i], diamonds[j])
