@@ -4,7 +4,7 @@ The searches build stacks of candidate tables, shape (m, n, n).  Rack dot
 tables have permutation rows (the cancellation axioms force that), the
 diamond is derived from the dot as derive_diamond does, and every candidate
 is verified through tables._holds against the laws of its kind, selected
-from structures._laws: the pair laws, then the triple laws on the
+through structures._named: the pair laws, then the triple laws on the
 survivors, each once.  A weak rack pairs a left (dot) with a right
 (diamond) self-distributive table; each law that reads one table is
 verified once on the stack of that table, and the pairs are the join of
@@ -97,19 +97,14 @@ def _fixes(t: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _fixed(d: np.ndarray, e: np.ndarray) -> int:
-    """The number of (permutation, structure) pairs, over all carrier
-    permutations and the (dot, diamond) stacks d, e, in which relabeling
-    by the permutation leaves the structure unchanged."""
-    return int(_fixes(np.stack((d, e), axis=1)).sum())
-
-
 def _fixed_pairs(d: np.ndarray, e: np.ndarray, pairs: np.ndarray) -> int:
-    """_fixed of the pairs (d[x], e[y]) where pairs[x, y] is True, for
-    stacks d, e, without building them: relabeling acts on each table, so
-    a permutation fixes a pair exactly when it fixes both of its tables,
-    and the pairs it fixes are those among the tables its masks of _fixes
-    keep."""
+    """The number of (permutation, structure) pairs, over all carrier
+    permutations and the structures (d[x], e[y]) where pairs[x, y] is
+    True, in which relabeling by the permutation leaves the structure
+    unchanged, for stacks d, e, without building the structures:
+    relabeling acts on each table, so a permutation fixes a pair exactly
+    when it fixes both of its tables, and the pairs it fixes are those
+    among the tables its masks of _fixes keep."""
     return sum(np.count_nonzero(pairs[x][:, y])
                for x, y in zip(_fixes(d), _fixes(e)))
 
@@ -186,7 +181,9 @@ def enumerate_racks(n: int) -> EnumResult:
         ok = _passing([name for name in _KIND_LAWS[RACK] if _COMPILED[name][0] == k],
                       n, dots, diamonds)
         dots, diamonds = dots[ok], diamonds[ok]
-    return _result(n, RACK, dots, diamonds, _fixed(dots, diamonds))
+    # a rack's diamond is a function of its dot, so a permutation fixes
+    # the rack exactly when it fixes the dot
+    return _result(n, RACK, dots, diamonds, int(_fixes(dots).sum()))
 
 
 def _commute_table(n: int) -> np.ndarray:

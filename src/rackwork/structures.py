@@ -8,14 +8,15 @@ and a companion written a<>b ("diamond").  Full racks satisfy
 
 weak racks keep both self-distributivities but replace the two cancellation
 laws by the single compatibility (ab)<>a = a(b<>a).  _TERMS states these
-and two more identities as terms, which _laws compiles to gathers; kinds,
-trig, euler and the census select from _laws by name, and the census
-search prunes on the two sides of a(bc) = (ab)(ac) from _sides.  All
-checks are exhaustive over the finite carrier and report machine-readable
-witnesses.  A constructor's kind rests on such a scan of the structure it
-returns, or of its factors where it is a direct product (Birkhoff's
-theorem: an identity holds on a product exactly when it holds on each
-factor).
+and two more identities as terms, which _compile turns into gathers;
+kinds, trig, euler and the census bind them by name through _named, and
+the census search prunes on the two sides of a(bc) = (ab)(ac) from
+_sides.  All checks are exhaustive over the finite carrier and report
+machine-readable witnesses.  A direct product keeps its factors, and a
+law that holds on every factor is reported, and a constructor's kind
+verified, from them with no scan of the product (Birkhoff's theorem: an
+identity holds on a product exactly when it holds on each factor); any
+other law is scanned on the structure itself.
 """
 
 from __future__ import annotations
@@ -137,6 +138,17 @@ def _failures(laws, n: int, cap: int):
     return ((name, w) for name, k, law in laws for w in _scan(law, n, k, cap))
 
 
+def _combine(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """The componentwise table of t1 and t2 on pairs (x, y) = x*n2 + y.
+    Row (x, y) is t1's row x, each entry repeated n2 times and scaled by
+    n2, plus t2's row y tiled n1 times, so that the broadcast add runs
+    along rows of n1*n2 cells in either factor order."""
+    n1, n2 = len(t1), len(t2)
+    rows1 = np.repeat(t1 * n2, n2, axis=1)
+    rows2 = np.tile(t2, (1, n1))
+    return (rows1[:, None, :] + rows2[None, :, :]).reshape(n1 * n2, -1)
+
+
 @dataclass(frozen=True)
 class Structure:
     """A carrier with a dot table, a diamond table and a kind tag.
@@ -146,18 +158,34 @@ class Structure:
     them is backed by an exhaustive axiom scan of the structure, of its
     factors (direct_product, product_with_dual, the Boolean weak racks), or
     by the vector check of trig.trig_derived_rack.
+
+    `factors` is (s1, s2) on a direct product built by _product and ()
+    on any other structure, a loaded or dual one included.  Equality and
+    repr ignore it.  The tables must be the combine of the factors, which
+    is checked here, so dataclasses.replace cannot keep stale factors.  A
+    report reads a law that holds on every factor off the factors (see
+    _law_failures).
     """
 
     n: int
     dot: OpTable
     diamond: OpTable
     kind: str
+    factors: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.dot.n != self.n or self.diamond.n != self.n:
             raise SizeMismatch("dot/diamond tables disagree with carrier size")
         if self.kind not in KINDS:
             raise KindMismatch(f"unknown kind {self.kind!r}")
+        if self.factors:
+            s1, s2 = self.factors
+            if not (np.array_equal(self.dot.entries, _combine(
+                        s1.dot.entries, s2.dot.entries))
+                    and np.array_equal(self.diamond.entries, _combine(
+                        s1.diamond.entries, s2.diamond.entries))):
+                raise RackworkError(
+                    "tables are not the product of the factors")
 
 
 def _gather(term, axes):
@@ -201,18 +229,15 @@ _COMPILED = {name: rest for name, *rest in map(_compile, _TERMS)}
 _READS = {_render(law): _ops(law) for law in _TERMS}
 
 
-def _laws(d, e):
-    """The laws of _TERMS as (name, arity, law) on a dot table d and a
-    diamond table e, or on stacks of them (see tables._holds)."""
-    tabs = _narrow(d), _narrow(np.swapaxes(e, -1, -2))
-    return tuple((name, k, mask(tabs))
-                 for name, (k, _, mask) in _COMPILED.items())
-
-
 def _named(names, d, e):
-    """The laws of _laws(d, e) called `names`, in that order."""
-    laws = {law[0]: law for law in _laws(d, e)}
-    return [laws[name] for name in names]
+    """The laws of _TERMS called `names`, in that order, as (name, arity,
+    law) on a dot table d and a diamond table e, or on stacks of them (see
+    tables._holds).  Only the tables that those laws read are narrowed."""
+    reads = frozenset().union(*map(_READS.get, names))
+    tabs = (_narrow(d) if "dot" in reads else None,
+            _narrow(np.swapaxes(e, -1, -2)) if "dia" in reads else None)
+    return [(name, _COMPILED[name][0], _COMPILED[name][2](tabs))
+            for name in names]
 
 
 def _sides(name, d, e):
@@ -237,20 +262,36 @@ _KIND_LAWS = {
 }
 
 
+def _law_failures(s: Structure, names, cap: int):
+    """(name, witness) for each law of _TERMS called `names`, in turn, up
+    to cap witnesses apiece, lazily, as _failures gives them.  A law that
+    fails on no factor of s holds on s (Birkhoff 1935), so it is skipped
+    with no scan of s; the factors are walked the same way, down to those
+    built with none.  Every other law is scanned on s, so the failures are
+    exactly those of a full scan."""
+    if s.factors:
+        names = [name for name in names if any(
+            next(_law_failures(f, (name,), 1), None) for f in s.factors)]
+    return _failures(_named(names, s.dot.entries, s.diamond.entries), s.n, cap)
+
+
 def _axioms(s: Structure, kind: str, cap: int = WITNESS_CAP) -> AxiomReport:
     """The report of s on the laws that `kind` claims."""
-    laws = _named(_KIND_LAWS[kind], s.dot.entries, s.diamond.entries)
-    return AxiomReport(list(_failures(laws, s.n, cap)))
+    if cap < 1:  # as _scan checks it, also where no law reaches a scan
+        raise SizeMismatch(f"max_witnesses must be at least 1, got {cap}")
+    return AxiomReport(list(_law_failures(s, _KIND_LAWS[kind], cap)))
 
 
 def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
     """Exhaustively test the four full-rack axioms (triple axioms over all
-    n^3 triples, cancellation axioms over all n^2 pairs)."""
+    n^3 triples, cancellation axioms over all n^2 pairs); on a product, a
+    law that holds on every factor is read off the factors."""
     return _axioms(s, RACK, max_witnesses)
 
 
 def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
-    """Exhaustively test the three weak-rack axioms."""
+    """Exhaustively test the three weak-rack axioms, as check_rack_axioms
+    does its four."""
     return _axioms(s, WEAK_RACK, max_witnesses)
 
 
@@ -265,17 +306,15 @@ def classify(s: Structure) -> tuple[str, AxiomReport]:
     weak = check_weak_rack_axioms(s)
     if not weak.passed:
         return "neither", weak
-    cancel = _named((AX_CANCEL_OUT, AX_CANCEL_IN), s.dot.entries,
-                    s.diamond.entries)
-    return (WEAK_RACK if any(_failures(cancel, s.n, 1)) else RACK), weak
+    cancel = _law_failures(s, (AX_CANCEL_OUT, AX_CANCEL_IN), 1)
+    return (WEAK_RACK if any(cancel) else RACK), weak
 
 
 def _kind_failure(s: Structure):
     """The first failure (law, witness) of the laws s.kind claims, or None."""
     if s.kind not in _KIND_LAWS:
         return None
-    laws = _named(_KIND_LAWS[s.kind], s.dot.entries, s.diamond.entries)
-    return next(_failures(laws, s.n, 1), None)
+    return next(_law_failures(s, _KIND_LAWS[s.kind], 1), None)
 
 
 def _verify_kind(s: Structure) -> None:
@@ -328,18 +367,20 @@ _LATTICE = ([[0, 1], [1, 1]], [[0, 0], [0, 1]])       # a | b, a & b
 
 def _boolean_power(atom, k: int) -> Structure:
     """The k-fold direct power of the weak rack on {0, 1} with the tables
-    `atom`, built by _product from the one-point structure; point x of the
-    power is the subset of k atoms with bit mask x.  Only the two-point
-    factor is scanned: an identity that holds on each factor holds on
-    their product (Birkhoff 1935), and the one-point structure satisfies
-    every identity."""
+    `atom`, built by _product from that two-point factor (the one-point
+    structure for k = 0); point x of the power is the subset of k atoms
+    with bit mask x.  Only the two-point factor is scanned: an identity
+    that holds on each factor holds on their product (Birkhoff 1935), and
+    the one-point structure satisfies every identity."""
     if k < 0:
         raise SizeMismatch("atom count must be non-negative")
     _capped(1 << k, f"2^{k}")
     factor = _from_arrays(*map(np.array, atom), WEAK_RACK)
-    point = np.zeros((1, 1), np.int64)
-    power = _unverified(point, point, WEAK_RACK)
-    for _ in range(k):     # factor first: numpy fills the long last axis faster
+    if k == 0:
+        point = np.zeros((1, 1), np.int64)
+        return _unverified(point, point, WEAK_RACK)
+    power = factor
+    for _ in range(k - 1):
         power = _product(factor, power)
     return power
 
@@ -359,7 +400,8 @@ def boolean_weak_rack_lattice(k: int) -> Structure:
 
 
 def _opposite(s: Structure) -> Structure:
-    """s with dot (a, b) -> b<>a and diamond (a, b) -> b.a, kind unverified."""
+    """s with dot (a, b) -> b<>a and diamond (a, b) -> b.a, kind unverified
+    and with no factors: the dual of a product is scanned in full."""
     return Structure(s.n, OpTable(s.n, s.diamond.entries.T),
                      OpTable(s.n, s.dot.entries.T), s.kind)
 
@@ -373,33 +415,29 @@ def dual_rack(s: Structure) -> Structure:
 
 
 def _product(s1: Structure, s2: Structure) -> Structure:
-    """The direct product of s1 and s2, tagged s1.kind with no scan: pair
-    (x, y) encoded as x*n2 + y; the n1*n2 pairs are subject to the cap."""
-    n2 = s2.n
-    m = _capped(s1.n * n2, f"{s1.n} x {n2}")
-
-    def combine(t1, t2):
-        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(m, m)
-
-    return _unverified(combine(s1.dot.entries, s2.dot.entries),
-                       combine(s1.diamond.entries, s2.diamond.entries),
-                       s1.kind)
+    """The direct product of s1 and s2, tagged s1.kind with no scan and
+    keeping both factors: pair (x, y) encoded as x*n2 + y; the n1*n2 pairs
+    are subject to the cap."""
+    m = _capped(s1.n * s2.n, f"{s1.n} x {s2.n}")
+    dot, diamond = (OpTable(m, _combine(t1.entries, t2.entries))
+                    for t1, t2 in ((s1.dot, s2.dot), (s1.diamond, s2.diamond)))
+    return Structure(m, dot, diamond, s1.kind, factors=(s1, s2))
 
 
 def direct_product(s1: Structure, s2: Structure) -> Structure:
     """Componentwise product on pairs, pair (x, y) encoded as x*n2 + y;
     the n1*n2 pairs are subject to the carrier cap.
 
-    The kind rests on scans of the factors, n1^3 + n2^3 instances: every
+    The kind is verified as every report is (see _law_failures): every
     law a kind claims is an identity, and an identity holds on a direct
-    product exactly when it holds on each factor (Birkhoff 1935).  If a
-    factor fails, the product itself is scanned, so that the KindMismatch
-    names the product's first failed law and witness."""
+    product exactly when it holds on each factor (Birkhoff 1935), so only
+    the factors are scanned, n1^3 + n2^3 instances, unless a law fails on
+    one of them.  That law is scanned on the product, so that the
+    KindMismatch names the product's first failed law and witness."""
     if s1.kind != s2.kind:
         raise KindMismatch(f"cannot combine {s1.kind} with {s2.kind}")
     product = _product(s1, s2)
-    if _kind_failure(s1) or _kind_failure(s2):
-        _verify_kind(product)
+    _verify_kind(product)
     return product
 
 
@@ -407,8 +445,8 @@ def product_with_dual(s: Structure) -> Structure:
     """The direct product of a structure with its dual: its main operation
     is the box product (x,y)(u,v) = (xu, v<>y) and its companion is
     ((x,y),(u,v)) -> (x<>u, vy).  As in direct_product, the kind rests on
-    scans of s and of its dual; if either fails, the product is scanned,
-    so a mis-tagged s gets the product's witness."""
+    scans of s and of its dual; a law that fails on either is scanned on
+    the product, so a mis-tagged s gets the product's witness."""
     return direct_product(s, _opposite(s))
 
 

@@ -51,7 +51,7 @@ def _property(law):
     return name, free != sorted(free)
 
 
-# each carrier-wide property and its swap, by the law of structures._laws
+# each carrier-wide property and its swap, by the law of structures._TERMS
 # that it is at a = e
 _PROPERTIES = {_render(law): _property(law) for law in _TERMS}
 
@@ -67,7 +67,7 @@ RACK_ONLY_PROPERTIES = frozenset({P_SIN_PI, P_SIN_COS, P_COS_SIN})
 
 def _trig_laws(d, e):
     """The carrier-wide properties as (name, arity, law) over (b, x[, y]),
-    b the base point: the laws of _laws, renamed, and two of them with
+    b the base point: the laws of _named, renamed, and two of them with
     their last two axes swapped (see _property)."""
     return tuple((p, k, (lambda *v, f=law: f(*v).swapaxes(-1, -2))
                   if swap else law) for (p, swap), (_, k, law)

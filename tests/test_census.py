@@ -11,10 +11,18 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import census, cli
-from rackwork.structures import (_KIND_LAWS, _READS, AX_LEFT_DISTRIB,
-                                 AX_RIGHT_DISTRIB, AX_WEAK_COMPAT, _laws,
-                                 _named, classify)
+from rackwork.structures import (_COMPILED, _KIND_LAWS, _READS,
+                                 AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB,
+                                 AX_WEAK_COMPAT, _named, classify)
 from rackwork.tables import _grids, _holds, _invert_rows
+
+
+def fixed_points(d, e):
+    """The number of (permutation, structure) pairs, over all carrier
+    permutations and the (dot, diamond) stacks d, e, in which relabeling
+    by the permutation leaves the structure unchanged: the oracle for
+    the census's Burnside counts."""
+    return int(census._fixes(np.stack((d, e), axis=1)).sum())
 
 
 def brute_force_rack_dots(n):
@@ -391,11 +399,19 @@ class TestCanonicalForms:
         # ab = c(b) for c = (0 1 2) and for its inverse: 3! relabelings,
         # each rack fixed by the 3 that commute with c
         dots = stack([[1, 2, 0] * 3, [2, 0, 1] * 3], 3)
-        assert census._fixed(dots, _invert_rows(dots)) == 6
+        assert fixed_points(dots, _invert_rows(dots)) == 6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_rack_is_fixed_exactly_where_its_dot_is(self, n):
+        """The rack census counts fixed points on the dots alone."""
+        res = rw.enumerate_racks(n)
+        assert (int(census._fixes(res.dots).sum())
+                == fixed_points(res.dots, res.diamonds)
+                == res.iso_count * math.factorial(n))
 
     def test_fixed_points_of_an_empty_stack(self):
         empty = stack([], 3)
-        assert census._fixed(empty, empty) == 0
+        assert fixed_points(empty, empty) == 0
 
 
 @st.composite
@@ -415,8 +431,8 @@ def relabeling_closed_stacks(draw):
 @given(relabeling_closed_stacks())
 def test_burnside_count_matches_canonical_forms(case):
     n, pairs = case
-    fixed = census._fixed(stack([d for d, _ in pairs], n),
-                          stack([e for _, e in pairs], n))
+    fixed = fixed_points(stack([d for d, _ in pairs], n),
+                         stack([e for _, e in pairs], n))
     assert fixed % math.factorial(n) == 0
     assert fixed // math.factorial(n) == len(
         {canonical_form([d, e], n) for d, e in pairs})
@@ -519,7 +535,7 @@ def test_each_law_reads_the_tables_its_terms_apply():
     t = np.zeros((1, 1), dtype=int)
     alone = {AX_LEFT_DISTRIB: {"dot"}, AX_RIGHT_DISTRIB: {"dia"}}
     assert _READS == {name: alone.get(name, {"dot", "dia"})
-                      for name, _, _ in _laws(t, t)}
+                      for name, _, _ in _named(_COMPILED, t, t)}
 
 
 @st.composite
@@ -537,7 +553,7 @@ def test_compatibility_fails_where_translations_do_not_commute(case):
     R_a(L_a(b)) != L_a(R_a(b)), for L_a(x) = ax and R_a(x) = x<>a: the
     theorem the weak census joins on."""
     n, d, e = case
-    law = {name: law for name, _, law in _laws(d, e)}[AX_WEAK_COMPAT]
+    (_, _, law), = _named([AX_WEAK_COMPAT], d, e)
     mask = np.broadcast_to(law(*_grids(n, 2)), (n, n))
 
     def left(a, x):
@@ -596,12 +612,13 @@ def weak_join(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fixed_pairs_count_the_weak_census(n):
-    """The per-table mask count over the census's pairs equals _fixed on
-    the census's own pair stacks, n! times the class count."""
+    """The per-table mask count over the census's pairs equals
+    fixed_points on the census's own pair stacks, n! times the class
+    count."""
     shelves, diamonds, pairs = weak_join(n)
     res = rw.enumerate_weak_racks(n)
     fixed = census._fixed_pairs(shelves, diamonds, pairs)
-    assert fixed == census._fixed(res.dots, res.diamonds)
+    assert fixed == fixed_points(res.dots, res.diamonds)
     assert fixed == res.iso_count * math.factorial(n)
 
 
@@ -609,9 +626,9 @@ def test_fixed_pairs_count_the_weak_census(n):
 @given(st.data())
 def test_fixed_pairs_match_fixed_on_sub_stacks(data):
     """On random sets of pairs, sub-sets of the census or any pairs of
-    shelves and diamonds, the per-table mask count equals _fixed on the
-    pairs built explicitly: such stacks are not closed under relabeling,
-    so every permutation's count matters."""
+    shelves and diamonds, the per-table mask count equals fixed_points on
+    the pairs built explicitly: such stacks are not closed under
+    relabeling, so every permutation's count matters."""
     n = data.draw(st.integers(1, 3))
     shelves, diamonds, census_pairs = weak_join(n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -620,5 +637,5 @@ def test_fixed_pairs_match_fixed_on_sub_stacks(data):
     if data.draw(st.booleans()):
         pairs &= census_pairs
     i, j = np.nonzero(pairs)
-    assert census._fixed_pairs(shelves, diamonds, pairs) == census._fixed(
+    assert census._fixed_pairs(shelves, diamonds, pairs) == fixed_points(
         shelves[i], diamonds[j])

@@ -29,7 +29,7 @@ import rackwork as rw
 from rackwork import euler, trig
 from rackwork.structures import (
     AX_CANCEL_IN, AX_CANCEL_OUT, AX_DIAMOND_DOT, AX_DOT_DIAMOND,
-    AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT, WITNESS_CAP, _laws,
+    AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT, WITNESS_CAP, _COMPILED,
     _named, _opposite, _render, _sides, _TERMS, classify,
 )
 from rackwork.tables import _grids, _scan
@@ -69,7 +69,7 @@ def _triples(n, bad):
 
 
 def _axiom(s, name):
-    """The witnesses of one law of structures._laws, uncapped."""
+    """The witnesses of one law of structures._named, uncapped."""
     (_, k, law), = _named([name], s.dot.entries, s.diamond.entries)
     return _scan(law, s.n, k, s.n ** 3)
 
@@ -182,10 +182,10 @@ def _loop_failures(s):
 @settings(max_examples=80, deadline=None)
 @given(contexts())
 def test_every_law_matches_nested_loops(case):
-    """All seven laws of structures._laws, uncapped, in the loops' order
+    """All seven laws of structures._named, uncapped, in the loops' order
     of witnesses: two of them are otherwise reached only through trig."""
     s, _, _ = case
-    laws = _laws(s.dot.entries, s.diamond.entries)
+    laws = _named(_COMPILED, s.dot.entries, s.diamond.entries)
     assert {name: _scan(law, s.n, k, s.n ** 3)
             for name, k, law in laws} == _loop_failures(s)
 
@@ -217,13 +217,13 @@ def _loop_values(f, ranges):
 def test_sides_match_nested_loops(case):
     """At every instance of each of the seven laws, both sides from
     structures._sides equal plain loops over the tables, and lhs != rhs is
-    the mask of _laws.  On one table, at every head _scan may pass; on a
+    the mask of _named.  On one table, at every head _scan may pass; on a
     stack with the batch axis second, with whole grids (the table stands
     for bc there) and with a, b and c stopping short; and in the census's
     form, partial tables padded with the sentinel n whose a and b grids
     stop at the filled rows (bc is gathered there)."""
     n, d, e, unfilled, p, q = case
-    for name, k, law in _laws(d[0], e[0]):
+    for name, k, law in _named(_COMPILED, d[0], e[0]):
         sides = _sides(name, d[0], e[0])
         loops = _loop_sides(d[0].tolist(), e[0].tolist())[name]
         for length in range(k):
@@ -241,7 +241,7 @@ def test_sides_match_nested_loops(case):
     padded[:, :, :n, :n] = np.where(unfilled, n, (d, e))
     for (dd, ee), points in (((d, e), (n, n, n)), ((d, e), (p, p, q)),
                              (padded, (p, p, n))):
-        for name, k, law in _laws(dd, ee):
+        for name, k, law in _named(_COMPILED, dd, ee):
             ranges = [range(stop) for stop in points[:k]]
             grids = [g[:, None] for g in np.ix_(*ranges)]
             shape = (len(ranges[0]), len(dd), *map(len, ranges[1:]))
@@ -258,14 +258,14 @@ def test_sides_match_nested_loops(case):
 @settings(max_examples=80, deadline=None)
 @given(contexts())
 def test_one_value_heads_walk_as_the_default(case):
-    """A caller may fix the first variable of any law of structures._laws,
+    """A caller may fix the first variable of any law of structures._named,
     as trig does at the base point, or any longer prefix of its variables
     short of the last, and reads the default walk's witnesses under every
     cap: a head that fixes b of a triple law gathers bc, where the default
     walk reads the table for it."""
     s, _, _ = case
     n = s.n
-    for _, k, law in _laws(s.dot.entries, s.diamond.entries):
+    for _, k, law in _named(_COMPILED, s.dot.entries, s.diamond.entries):
         for length in range(k):
             heads = list(itertools.product(range(n), repeat=length))
             for cap in (1, 3, n ** 3):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import structures, trig
+from rackwork import fileio, structures, trig
 from rackwork.structures import (
     AX_CANCEL_OUT, AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT,
 )
@@ -96,14 +97,14 @@ def _tables(s):
 
 
 def scanned(monkeypatch):
-    """A list that gets (arity, witnesses) of every law scanned through
-    structures._scan from now on."""
+    """A list that gets (carrier size, arity, witnesses) of every law
+    scanned through structures._scan from now on."""
     scans = []
     real_scan = structures._scan
 
     def spy(law, n, k, cap):
         found = real_scan(law, n, k, cap)
-        scans.append((k, found))
+        scans.append((n, k, found))
         return found
 
     monkeypatch.setattr(structures, "_scan", spy)
@@ -468,18 +469,19 @@ class TestKindVerification:
         with pytest.raises(rw.KindMismatch) as exc:
             structures._verify_kind(s)
         assert str(exc.value) == f"claimed {kind} violates {axiom!r} at {wit}"
-        assert len(scans) == first + 1 and scans[-1][1]
+        assert len(scans) == first + 1 and scans[-1][2]
 
     def test_classify_stops_at_the_first_failing_cancellation_law(
             self, monkeypatch):
-        s = rw.boolean_weak_rack_implication(2)
+        # the tables alone, with no factors to read passing laws off
+        s = _bare(rw.boolean_weak_rack_implication(2))
         assert not rw.check_rack_axioms(s).passed
         scans = scanned(monkeypatch)
         verdict, weak = structures.classify(s)
         assert verdict == rw.WEAK_RACK and weak.passed
         # the three weak-rack laws, then (ab) diamond a = b, which fails;
         # a(b diamond a) = b is never scanned
-        assert [(k, bool(found)) for k, found in scans] == [
+        assert [(k, bool(found)) for _, k, found in scans] == [
             (3, False), (2, False), (3, False), (2, True)]
 
 
@@ -643,16 +645,9 @@ class TestProductsOnFactors:
             self, monkeypatch, build, carriers):
         """Only factor-sized laws are scanned when every factor passes;
         the factors themselves are built, and scanned, first."""
-        sizes = []
-        real_scan = structures._scan
-
-        def spy(law, n, k, cap):
-            sizes.append(n)
-            return real_scan(law, n, k, cap)
-
-        monkeypatch.setattr(structures, "_scan", spy)
+        scans = scanned(monkeypatch)
         build()
-        assert set(sizes) == carriers
+        assert {n for n, _, _ in scans} == carriers
 
     def test_a_failing_factor_scans_the_product(self):
         s = rw.Structure(2, add_mod(2), add_mod(2), rw.RACK)
@@ -701,9 +696,120 @@ class TestBooleanPowers:
         """Every size that the tests and the benchmark build; 9 only for
         the lattice, the one built beyond the cap."""
         monkeypatch.setenv("RACKWORK_MAX_N", "512")
-        s = BOOLEAN[variant](k)
+        s = _bare(BOOLEAN[variant](k))
         assert s.kind == rw.WEAK_RACK
         assert rw.check_weak_rack_axioms(s).passed
+
+
+def _bare(s):
+    """s with no factors, so that every report scans its tables in full."""
+    return structures._unverified(s.dot.entries, s.diamond.entries, s.kind)
+
+
+def _reports(s):
+    """Every report that reads laws off a product's factors, on s."""
+    return (rw.check_rack_axioms(s), rw.check_weak_rack_axioms(s),
+            rw.check_rack_axioms(s, 1), rw.check_weak_rack_axioms(s, 3),
+            structures.classify(s), structures._kind_failure(s))
+
+
+class TestReportsOnFactors:
+    """A product keeps its factors, and a law that holds on every factor is
+    reported passed with no scan of the product; every report equals a
+    full scan of the same tables without factors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(KINDS.flatmap(lambda kind: st.lists(tagged(kind), min_size=2,
+                                               max_size=3)))
+    def test_reports_match_a_full_scan(self, factors):
+        p = factors[-1]
+        for f in reversed(factors[:-1]):
+            p = structures._product(f, p)
+        assert _reports(p) == _reports(_bare(p))
+
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("variant", sorted(BOOLEAN))
+    def test_boolean_powers_match_a_full_scan(self, variant, k):
+        s = BOOLEAN[variant](k)
+        assert _reports(s) == _reports(_bare(s))
+
+    def test_a_passing_law_scans_only_the_two_point_factor(self, monkeypatch):
+        s = rw.boolean_weak_rack_implication(8)
+        scans = scanned(monkeypatch)
+        assert rw.check_weak_rack_axioms(s).passed
+        assert {n for n, _, _ in scans} == {2}
+        scans.clear()
+        # the cancellation laws fail on the factor, so they alone are
+        # scanned on the product, each once
+        failures = rw.check_rack_axioms(s).failures
+        assert len(failures) == 2 * structures.WITNESS_CAP
+        assert [(n, k) for n, k, _ in scans if n > 2] == [(256, 2), (256, 2)]
+
+    def test_equality_and_repr_ignore_factors(self):
+        p = rw.product_with_dual(rw.trivial_rack(2))
+        flat = rw.trivial_rack(4)
+        assert p.factors and not flat.factors
+        assert p == flat and repr(p) == repr(flat)
+
+    def test_replace_with_other_tables_and_stale_factors_raises(self):
+        p = rw.direct_product(rw.trivial_rack(2), rw.trivial_rack(2))
+        with pytest.raises(rw.RackworkError,
+                           match="not the product of the factors"):
+            dataclasses.replace(p, diamond=p.dot)
+        with pytest.raises(rw.RackworkError,
+                           match="not the product of the factors"):
+            dataclasses.replace(p, factors=(rw.trivial_rack(2),
+                                            rw.trivial_rack(3)))
+        assert dataclasses.replace(p, factors=p.factors[::-1]) == p
+
+    def test_the_dual_of_a_product_has_no_factors_and_is_scanned(
+            self, monkeypatch):
+        p = rw.boolean_weak_rack_lattice(3)
+        scans = scanned(monkeypatch)
+        dual = rw.dual_rack(p)
+        assert dual.factors == () and dual.kind == rw.WEAK_RACK
+        assert {n for n, _, _ in scans} == {8}
+
+    def test_a_loaded_structure_has_no_factors(self, tmp_path):
+        path = str(tmp_path / "p.json")
+        fileio.save_structure(path, rw.boolean_weak_rack_lattice(2))
+        assert fileio.load_structure(path)[0].factors == ()
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_witness_cap_below_one_is_rejected_on_a_passing_product(
+            self, cap):
+        s = rw.boolean_weak_rack_lattice(2)
+        with pytest.raises(rw.SizeMismatch, match="max_witnesses"):
+            rw.check_weak_rack_axioms(s, cap)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 5), (5, 1), (2, 7), (7, 2),
+                                        (3, 4)])
+    def test_combine_in_either_factor_order(self, n1, n2):
+        rng = np.random.default_rng(n1 * 10 + n2)
+        t1, t2 = rng.integers(0, n1, (n1, n1)), rng.integers(0, n2, (n2, n2))
+        got = structures._combine(t1, t2)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.tolist() == _pairs(t1.tolist(), t2.tolist())
+
+
+class TestNamedLaws:
+    @pytest.mark.parametrize("name", [structures._render(law)
+                                      for law in structures._TERMS])
+    def test_only_the_tables_a_law_reads_are_narrowed(self, monkeypatch,
+                                                      name):
+        narrowed = []
+        s = rw.trivial_rack(3)
+        law, = walked(monkeypatch, lambda: structures._named(
+            [name], s.dot.entries, s.diamond.entries), narrowed)
+        assert len(narrowed) == len(structures._READS[name])
+        assert law[:2] == (name, structures._COMPILED[name][0])
+
+    def test_no_law_narrows_nothing(self, monkeypatch):
+        narrowed = []
+        s = rw.trivial_rack(3)
+        assert walked(monkeypatch, lambda: structures._named(
+            [], s.dot.entries, s.diamond.entries), narrowed) == []
+        assert narrowed == []
 
 
 @st.composite

@@ -144,8 +144,8 @@ NOT_STRUCTURES = [p for p in sorted((ROOT / "src" / "rackwork").glob("*.py"))
 
 @pytest.mark.parametrize("path", NOT_STRUCTURES, ids=lambda p: p.name)
 def test_only_structures_reads_the_law_builders(path):
-    """Other modules select laws from structures._laws by name, through
-    structures._named and _KIND_LAWS."""
+    """Other modules select laws by name, through structures._named and
+    _KIND_LAWS."""
     assert law_builder_reads(path.read_text()) == []
 
 
@@ -176,7 +176,7 @@ def test_the_gather_import_check_finds_each_form():
 
 @pytest.mark.parametrize("name", ["trig.py", "euler.py", "census.py"])
 def test_trig_and_euler_state_no_law(name):
-    """trig and euler select their laws from structures._laws, and the
+    """trig and euler select their laws through structures._named, and the
     census search prunes on the sides of a law from structures._sides, so
     none of them gathers from a table itself."""
     source = (ROOT / "src" / "rackwork" / name).read_text()
@@ -302,24 +302,34 @@ def test_the_cli_opens_structure_files_in_one_place():
     assert load_structure_readers(source) == ["cmd_make", "_open"]
 
 
-def call_sites(source: str, name: str) -> list[str]:
-    """The class and function around each call of `name`, by name or as an
-    attribute, dotted, in source order; "" at module level."""
+def sites(source: str, matches) -> list[str]:
+    """The class and function around each call for which matches(call)
+    holds, dotted, in source order; "" at module level."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             where = f"{where}.{node.name}".lstrip(".")
-        if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) == name:
-                found.append(where)
+        if isinstance(node, ast.Call) and matches(node):
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "")
     return found
+
+
+def call_sites(source: str, name: str) -> list[str]:
+    """The sites of each call of `name`, by name or as an attribute."""
+    return sites(source, lambda call: getattr(
+        call.func, "id", getattr(call.func, "attr", None)) == name)
+
+
+def keyword_sites(source: str, keyword: str) -> list[str]:
+    """The sites of each call that passes the argument `keyword`."""
+    return sites(source, lambda call: any(
+        k.arg == keyword for k in call.keywords))
 
 
 def test_the_call_site_check_finds_each_form():
@@ -340,20 +350,39 @@ STRUCTURE_CALLS = {
     "fileio.py": ["load_structure"],
     # make_structure scans the tag; _unverified carries a tag that its
     # callers (below) establish; _opposite copies s's tag, which dual_rack
-    # scans and product_with_dual scans as a factor
-    "structures.py": ["make_structure", "_unverified", "_opposite"],
+    # scans and product_with_dual scans as a factor; _product tags the
+    # product with s1's kind and keeps its factors (below)
+    "structures.py": ["make_structure", "_unverified", "_opposite",
+                      "_product"],
 }
 
 # The callers of structures._unverified, with what backs the tag they set:
-# the one-point structure satisfies every identity and a product passes
-# the laws its factors pass (direct_product scans the factors, the Boolean
-# power its two-point factor); trig_derived_rack checks sin(cos x) = x,
-# which on a finite carrier gives both cancellation laws, the only rack
-# laws that can fail on its tables.
+# the one-point structure satisfies every identity; trig_derived_rack
+# checks sin(cos x) = x, which on a finite carrier gives both cancellation
+# laws, the only rack laws that can fail on its tables.
 UNVERIFIED_CALLS = {
-    "structures.py": ["_boolean_power", "_product"],
+    "structures.py": ["_boolean_power"],
     "trig.py": ["trig_derived_rack"],
 }
+
+# Every call that passes factors=, a Structure's by any route (its
+# constructor, dataclasses.replace): a product passes the laws its factors
+# pass, so the reports and _verify_kind read those laws off the factors and
+# scan only the others (Birkhoff).  Structure checks that the tables are
+# the combine of the factors; direct_product verifies the tag, and the
+# Boolean power's two-point factor is scanned when it is built.
+FACTOR_SETTERS = {
+    # SumResult's trace factors of the closed form, no structure's
+    "matseries.py": ["trace_product_sum"],
+    "structures.py": ["_product"],
+}
+
+
+def test_the_keyword_check_finds_each_form():
+    source = ("Structure(1, d, e, k, factors=(a, b))\n"
+              "def f():\n    return g(x, factors=())\n"
+              "def h():\n    return Structure(1, d, e, k)\n")
+    assert keyword_sites(source, "factors") == ["", "f"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -362,3 +391,5 @@ def test_every_unscanned_kind_tag_is_accounted_for(path):
     assert call_sites(source, "Structure") == STRUCTURE_CALLS.get(path.name, [])
     assert (call_sites(source, "_unverified")
             == UNVERIFIED_CALLS.get(path.name, []))
+    assert (keyword_sites(source, "factors")
+            == FACTOR_SETTERS.get(path.name, []))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import rackwork as rw
 from rackwork import census, structures, tables, trig
-from rackwork.structures import AX_RIGHT_DISTRIB, WITNESS_CAP, _laws
+from rackwork.structures import (AX_RIGHT_DISTRIB, WITNESS_CAP, _COMPILED,
+                                 _named)
 
 
 class TestContext:
@@ -345,7 +346,7 @@ def test_trig_laws_with_a_free_base_point(monkeypatch, slab):
             pinned = [(b,) + w for b, rep in enumerate(reports)
                       for w in rep[name].witnesses]
             assert tables._scan(law, n, k, n ** k) == pinned, (s, name)
-        right = law_named(_laws(s.dot.entries, s.diamond.entries),
+        right = law_named(_named(_COMPILED, s.dot.entries, s.diamond.entries),
                           AX_RIGHT_DISTRIB)
         assert sorted((a, c, b) for a, b, c in tables._scan(
             right, n, 3, n ** 3)) == tables._scan(
@@ -365,7 +366,7 @@ def test_trig_laws_with_a_free_base_point(monkeypatch, slab):
 
 def test_law_and_property_names_are_the_report_contract():
     """Reports print these names verbatim: the seven laws in the order of
-    structures._laws, each with the trig property it is at a = e."""
+    structures._named, each with the trig property it is at a = e."""
     names = {
         "a(bc) = (ab)(ac)": "cos(xy) = cos(x)cos(y)",
         "a(c diamond b) = (ac) diamond (ab)":
@@ -379,7 +380,7 @@ def test_law_and_property_names_are_the_report_contract():
         "(ab) diamond a = a(b diamond a)": "sin(cos(x)) = cos(sin(x))",
     }
     t = np.zeros((1, 1), dtype=np.int64)
-    assert [name for name, _, _ in _laws(t, t)] == list(names)
+    assert [name for name, _, _ in _named(_COMPILED, t, t)] == list(names)
     assert [name for name, _, _ in trig._trig_laws(t, t)] == list(
         names.values())
     assert (structures.AX_LEFT_DISTRIB, structures.AX_DOT_DIAMOND,
