@@ -111,12 +111,59 @@ class Report:
         return code
 
 
+# ints up to this many bits print through str(); those above it would pass
+# the interpreter's default limit of 4300 digits (about 14280 bits)
+_STR_BITS = 8192
+
+
+def _int_text(n: int) -> str:
+    """str(n) in subquadratic time.  Python 3.11's str() on an int is
+    quadratic in its length, and refuses more than 4300 digits by default.
+    Above _STR_BITS the bits are split in halves, and the halves are joined
+    as hi * 2^w + lo in decimal, whose multiplication is subquadratic (as
+    CPython 3.12's _pylong does it)."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_to(w: int) -> decimal.Decimal:
+        if w not in powers:
+            half = w >> 1
+            powers[w] = (decimal.Decimal(1 << w) if w <= _STR_BITS
+                         else two_to(half) * two_to(w - half))
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        """m as a Decimal, for 0 <= m < 2^w."""
+        if w <= _STR_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * two_to(half)
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
+
+
+def _rat_text(x) -> str:
+    """str(x) for a Fraction, through _int_text."""
+    num = _int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
+
+
 def _fmt_mat(m: matseries.Mat2Q) -> str:
-    return f"[[{m.a}, {m.b}], [{m.c}, {m.d}]]"
+    a, b, c, d = map(_rat_text, m.entries())
+    return f"[[{a}, {b}], [{c}, {d}]]"
 
 
 def _mat_json(m: matseries.Mat2Q):
-    return [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
+    a, b, c, d = map(_rat_text, m.entries())
+    return [[a, b], [c, d]]
 
 
 # ---------------------------------------------------------------- commands
@@ -296,34 +343,21 @@ def _parse_matrix(text: str) -> matseries.Mat2Q:
 
 
 def cmd_mat(args) -> int:
-    # exact entries pass the interpreter's default limit of 4300 digits for
-    # int-to-text conversion from level 9 up (Python 3.10.7 and later)
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _mat_report(args)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _mat_report(args)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _mat_report(args) -> int:
     from . import matseries
 
     a = _parse_matrix(args.a)
     report = Report("mat", args.json)
     d = matseries.det(a)
     if d != 1:
-        report.set("det", str(d))
+        report.set("det", _rat_text(d))
         report.add("det(A) = 1", False)
         return report.emit()
     report.add("det(A) = 1", True)
 
     result = matseries.trace_product_sum(a, args.n, with_oracle=args.brute)
     fmt = _mat_json if args.json else _fmt_mat
-    report.set("factors", [str(f) for f in result.factors])
-    report.set("scalar", str(result.scalar))
+    report.set("factors", [_rat_text(f) for f in result.factors])
+    report.set("scalar", _rat_text(result.scalar))
     report.set("power_exponent", result.power_exponent)
     report.set("power_matrix", fmt(result.power))
     report.set("closed_form", fmt(result.closed_form))

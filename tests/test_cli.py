@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -534,20 +535,11 @@ class TestMat:
         code, text, _ = run(capsys, "mat", "--a", "1,-2,-1,3",
                             "--n", str(level), "--json")
         assert code == 0
-        # the closed form builds the power from its own cube chain, so
-        # neither it nor the CLI raises A to a power a second time
+        # the closed form gets the power from its Lucas sequence, so
+        # neither it nor the CLI raises A to a power
         assert calls == []
         assert json.loads(text)["data"]["power_matrix"] == [
             [str(power.a), str(power.b)], [str(power.c), str(power.d)]]
-
-    def test_without_the_int_digit_limit_functions(self, capsys, monkeypatch):
-        # Python 3.10.0-3.10.6 lack both, and cmd_mat then sets no limit
-        argv = ("mat", "--a", "1,-2,-1,3", "--n", "4", "--brute", "--json")
-        want = run(capsys, *argv)
-        assert want[0] == 0 and want[2] == ""
-        monkeypatch.delattr(sys, "set_int_max_str_digits")
-        monkeypatch.delattr(sys, "get_int_max_str_digits")
-        assert run(capsys, *argv) == want
 
     @pytest.mark.parametrize("json_mode", [False, True])
     def test_level_nine_prints_the_exact_closed_form(self, capsys, json_mode):
@@ -560,16 +552,44 @@ class TestMat:
         assert code == 0 and err == ""
         assert sys.get_int_max_str_digits() == limit
         m = result.closed_form
-        sys.set_int_max_str_digits(0)
-        try:
-            want = [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
-        finally:
-            sys.set_int_max_str_digits(limit)
+        want = [[unlimited_str(m.a), unlimited_str(m.b)],
+                [unlimited_str(m.c), unlimited_str(m.d)]]
         assert len(want[0][0]) > limit
         if json_mode:
             assert json.loads(text)["data"]["closed_form"] == want
         else:
             assert f"[[{want[0][0]}, {want[0][1]}], [{want[1][0]}, {want[1][1]}]]" in text
+
+
+def unlimited_str(value) -> str:
+    """str(value) with no limit on the digits of an int."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntText:
+    """The mat report's numbers print under the interpreter's default
+    limit on int-to-text digits, equal to an unlimited str()."""
+
+    BITS = cli._STR_BITS
+
+    @pytest.mark.parametrize("value", [
+        0, 1, -1, 10, -10 ** 40,
+        2 ** BITS - 1, -(2 ** BITS - 1), 2 ** BITS, -(2 ** BITS), 2 ** BITS + 1,
+        10 ** 2467, -10 ** 2467 + 1, 3 ** 50_000, -(7 ** 40_001), 10 ** 20_000,
+    ], ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}bits")
+    def test_equals_str(self, value):
+        assert cli._int_text(value) == unlimited_str(value)
+
+    @pytest.mark.parametrize("value", [
+        F(0), F(-3), F(-1, 2), F(3 ** 30_000, 2 ** 20_001),
+        F(-(2 ** 20_001), 3 ** 30_000)], ids=["0", "-3", "-1/2", "big", "-big"])
+    def test_fractions_equal_str(self, value):
+        assert cli._rat_text(value) == unlimited_str(value)
 
 
 class TestEnum:

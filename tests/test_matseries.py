@@ -194,9 +194,15 @@ def assert_matches_reference(a, n):
     res = rw.trace_product_sum(a, n)
     factors, exponent, power, closed_form = reference_closed_form(a, n)
     assert res.factors == factors
+    # an integer matrix takes its scalar from the Lucas sequence, not from
+    # the factors, so this compares two independent computations
+    assert res.scalar == math.prod(factors)
     assert res.power_exponent == exponent
     assert res.power == power
     assert res.closed_form == closed_form
+    assert all(type(v) is F for v in (*res.factors, res.scalar,
+                                      *res.power.entries(),
+                                      *res.closed_form.entries()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -216,9 +222,31 @@ def test_closed_form_matches_reference_on_rational_det_one(a, b, c, n):
     assert_matches_reference(rw.mat2(a, b, c, (1 + b * c) / a), n)
 
 
-@pytest.mark.parametrize("a", [SHEAR, GEOM], ids=["shear", "diagonal"])
+@pytest.mark.parametrize("a", [SHEAR, GEOM, HARD],
+                         ids=["shear", "diagonal", "growing"])
 def test_closed_form_matches_reference_at_level_twelve(a):
     assert_matches_reference(a, 12)
+
+
+# integer matrices at every trace where the Lucas sequence is periodic or
+# grows polynomially: -I and I, rotations of order 3, 4 and 6, and shears
+EDGE_TRACES = {
+    "minus-identity": rw.mat2(-1, 0, 0, -1),
+    "negative-shear": rw.mat2(-1, 3, 0, -1),
+    "order-3": rw.mat2(0, -1, 1, -1),
+    "order-4": rw.mat2(0, -1, 1, 0),
+    "order-6": rw.mat2(1, -1, 1, 0),
+    "identity": rw.mat2(1, 0, 0, 1),
+    "shear": rw.mat2(1, 0, -4, 1),
+}
+
+
+@pytest.mark.parametrize("a", EDGE_TRACES.values(), ids=EDGE_TRACES.keys())
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_matches_reference_at_small_traces(a, n):
+    assert_matches_reference(a, n)
+    if n <= matseries.ORACLE_MAX_LEVEL:
+        assert rw.trace_product_sum(a, n, with_oracle=True).oracle_matches
 
 
 def assert_telescopes(a, n, total):
@@ -239,6 +267,24 @@ def assert_telescopes(a, n, total):
 
 
 RATIONAL_SKEW = rw.mat2(2, F(1, 3), F(3, 2), F(3, 4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_integer_matrices_make_no_matrix_product(monkeypatch, n):
+    calls = []
+    real_mat_mul = matseries.mat_mul
+    monkeypatch.setattr(matseries, "mat_mul",
+                        lambda x, y: calls.append((x, y)) or real_mat_mul(x, y))
+    results = [rw.trace_product_sum(a, n) for a in (HARD, SHEAR)]
+    assert calls == []
+    # a rational matrix still goes through the chain of cubes
+    results.append(rw.trace_product_sum(RATIONAL_SKEW, n))
+    assert calls
+    monkeypatch.undo()
+    for a, res in zip((HARD, SHEAR, RATIONAL_SKEW), results):
+        factors, _, power, closed_form = reference_closed_form(a, n)
+        assert (res.factors, res.power, res.closed_form) == (
+            factors, power, closed_form)
 
 
 @pytest.mark.parametrize("a", [SHEAR, GEOM, HARD, RATIONAL_SKEW],

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import rackwork as rw
 from rackwork import fileio, structures, trig
 from rackwork.structures import (
-    AX_CANCEL_OUT, AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB, AX_WEAK_COMPAT,
+    AX_CANCEL_IN, AX_CANCEL_OUT, AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB,
+    AX_WEAK_COMPAT,
 )
 from rackwork.tables import _scan
 
@@ -577,6 +578,28 @@ def tagged(draw, kind):
     else:
         d, e = draw(cells), draw(cells)
     return rw.Structure(n, rw.OpTable(n, d), rw.OpTable(n, e), kind)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_classify_agrees_with_the_rack_check_on_the_weak_census(n):
+    # on a weak rack the two cancellation laws fail at the same pairs, which
+    # is why classify scans only the first
+    for d, e in _census(n, True):
+        s = _unchecked(d, e)
+        kind, weak = structures.classify(s)
+        rack = rw.check_rack_axioms(s, n * n)
+        assert weak.passed
+        assert (kind == rw.RACK) == rack.passed
+        assert ([w for law, w in rack.failures if law == AX_CANCEL_OUT]
+                == [w for law, w in rack.failures if law == AX_CANCEL_IN])
+
+
+@settings(max_examples=150, deadline=None)
+@given(tagged(rw.UNCHECKED))
+def test_classify_agrees_with_the_axiom_checks_on_unchecked_tables(s):
+    kind, weak = structures.classify(s)
+    assert (kind == "neither") == (not rw.check_weak_rack_axioms(s).passed)
+    assert (kind == rw.RACK) == rw.check_rack_axioms(s).passed
 
 
 def _pairs(t1, t2):
