@@ -136,7 +136,7 @@ def check_exp_homomorphism(s: Structure, a: int,
     heads = ((int(x), int(y)) for x, y in
              np.argwhere(bad1.any(1)[:, None] | bad2.any(1)[None, :]))
     wits = _scan(lambda x, y, u, v: bad1[x][u] | bad2[y][v],
-                 s.n, 4, max_witnesses, heads)
+                 s.n, 4, max_witnesses, heads=heads)
     return AxiomReport([(name, w) for w in wits])
 
 

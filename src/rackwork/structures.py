@@ -11,12 +11,16 @@ laws by the single compatibility (ab)<>a = a(b<>a).  _TERMS states these
 and two more identities as terms, which _compile turns into gathers;
 kinds, trig, euler and the census bind them by name through _named, and
 the census search prunes on the two sides of a(bc) = (ab)(ac) from
-_sides.  All checks are exhaustive over the finite carrier and report
-machine-readable witnesses.  A direct product keeps its factors, and a
-law that holds on every factor is reported, and a constructor's kind
-verified, from them with no scan of the product (Birkhoff's theorem: an
-identity holds on a product exactly when it holds on each factor); any
-other law is scanned on the structure itself.
+_sides.  Every verdict is exact for the whole finite carrier, and every
+failure list comes from a scan of the whole carrier, with
+machine-readable witnesses.  A passing verdict may be proved from less.
+A direct product keeps its factors, and a law that holds on every factor
+is reported, and a constructor's kind verified, from them with no scan
+of the product (Birkhoff's theorem: an identity holds on a product
+exactly when it holds on each factor).  Where both cancellation laws
+hold, left self-distributivity at a generating set proves both
+self-distributive laws (Fenn and Rourke; see _proved).  Any other law is
+scanned on the structure itself.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .errors import (
     CarrierTooLarge, KindMismatch, RackworkError, SizeMismatch,
 )
 from .tables import (
-    GroupTable, OpTable, _array, _at, _indices, _invert_rows, _narrow, _scan,
+    GroupTable, OpTable, _array, _at, _generators, _grids, _indices,
+    _invert_rows, _narrow, _scan,
 )
 
 RACK = "rack"
@@ -155,9 +160,9 @@ class Structure:
 
     Plain record: the named constructors below (and make_structure) are the
     verifying entry points; a kind of 'rack' or 'weak_rack' obtained from
-    them is backed by an exhaustive axiom scan of the structure, of its
-    factors (direct_product, product_with_dual, the Boolean weak racks), or
-    by the vector check of trig.trig_derived_rack.
+    them is backed by the axiom checks of the structure (see
+    _law_failures), of its factors (direct_product, product_with_dual, the
+    Boolean weak racks), or by the vector check of trig.trig_derived_rack.
 
     `factors` is (s1, s2) on a direct product built by _product and ()
     on any other structure, a loaded or dual one included.  Equality and
@@ -262,16 +267,51 @@ _KIND_LAWS = {
 }
 
 
+_CANCELLATION = (AX_CANCEL_OUT, AX_CANCEL_IN)
+
+
+def _proved(s: Structure) -> tuple[str, ...]:
+    """The rack laws that hold on s, as far as cancellation and left
+    self-distributivity at a generating set show it.
+
+    If (ab)<>a = b holds, every L_a: b -> ab is injective, so on a finite
+    carrier a bijection with inverse b -> b<>a, and a(b<>a) = b holds too.
+    The a for which L_a is an automorphism of the dot are then closed
+    under it, as L_ab = L_a L_b L_a^-1 (Fenn and Rourke 1992), so if
+    a(bc) = (ab)(ac) holds at every a of a set that generates the carrier,
+    it holds everywhere.  Right self-distributivity
+    (c<>b)<>a = (c<>a)<>(b<>a) is then the same conjugation identity, read
+    through the inverses, and holds too.  (ab)<>a = b is evaluated with no
+    witness listed; where it fails, nothing is proved."""
+    (_, _, cancel), (_, _, left) = _named(
+        (AX_CANCEL_OUT, AX_LEFT_DISTRIB), s.dot.entries, s.diamond.entries)
+    if cancel(*_grids(s.n, 2)).any():
+        return ()
+    if _scan(left, s.n, 3, 1,
+             heads=[(g,) for g in _generators(s.dot.entries)]):
+        return _CANCELLATION
+    return _CANCELLATION + (AX_LEFT_DISTRIB, AX_RIGHT_DISTRIB)
+
+
 def _law_failures(s: Structure, names, cap: int):
     """(name, witness) for each law of _TERMS called `names`, in turn, up
     to cap witnesses apiece, lazily, as _failures gives them.  A law that
     fails on no factor of s holds on s (Birkhoff 1935), so it is skipped
-    with no scan of s; the factors are walked the same way, down to those
-    built with none.  Every other law is scanned on s, so the failures are
-    exactly those of a full scan."""
+    with no scan of s.  Each factor is asked, the same way, for all the
+    laws that no factor before it failed, so that _proved serves it too;
+    this walks nested products down to factors built with none.  Where
+    left self-distributivity is still to be scanned, the laws that _proved
+    shows are skipped too.  Every other law is scanned on s, so the
+    failures are exactly those of a full scan."""
     if s.factors:
-        names = [name for name in names if any(
-            next(_law_failures(f, (name,), 1), None) for f in s.factors)]
+        failing = set()
+        for f in s.factors:
+            failing.update(name for name, _ in _law_failures(
+                f, [name for name in names if name not in failing], 1))
+        names = [name for name in names if name in failing]
+    if AX_LEFT_DISTRIB in names:
+        proved = _proved(s)
+        names = [name for name in names if name not in proved]
     return _failures(_named(names, s.dot.entries, s.diamond.entries), s.n, cap)
 
 
@@ -283,21 +323,27 @@ def _axioms(s: Structure, kind: str, cap: int = WITNESS_CAP) -> AxiomReport:
 
 
 def check_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
-    """Exhaustively test the four full-rack axioms (triple axioms over all
-    n^3 triples, cancellation axioms over all n^2 pairs); on a product, a
-    law that holds on every factor is read off the factors."""
+    """Test the four full-rack axioms on every triple or pair of s.  A
+    failing law is scanned over all n^3 triples or n^2 pairs.  A passing
+    verdict may be proved from less: on a product, a law that holds on
+    every factor is read off the factors, and where the cancellation laws
+    hold, both self-distributive laws follow from left self-distributivity
+    at a generating set (see _proved)."""
     return _axioms(s, RACK, max_witnesses)
 
 
 def check_weak_rack_axioms(s: Structure, max_witnesses: int = WITNESS_CAP) -> AxiomReport:
-    """Exhaustively test the three weak-rack axioms, as check_rack_axioms
-    does its four."""
+    """Test the three weak-rack axioms, as check_rack_axioms does its four:
+    every failure list is that of a full scan, and the two
+    self-distributive laws are proved on a generating set where the
+    cancellation laws hold."""
     return _axioms(s, WEAK_RACK, max_witnesses)
 
 
 def classify(s: Structure) -> tuple[str, AxiomReport]:
     """The strongest kind s satisfies (RACK, WEAK_RACK or "neither") and
-    its weak-rack report.
+    its weak-rack report, whose passing laws may be proved as
+    check_weak_rack_axioms proves them.
 
     A rack is exactly a weak rack whose cancellation laws hold (they give
     (ab)<>a = b = a(b<>a)), so each triple law is scanned once, where

@@ -266,14 +266,16 @@ class TestCheck:
         triple_scans = []
         real_scan = structures._scan
 
-        def spy(law, n, k, cap):
+        def spy(law, n, k, cap, heads=None):
             if k == 3:
                 triple_scans.append(law)
-            return real_scan(law, n, k, cap)
+            return real_scan(law, n, k, cap, heads=heads)
 
         monkeypatch.setattr(structures, "_scan", spy)
         code, text, _ = run(capsys, "check", str(path), "--json", "--all-witnesses")
-        assert len(triple_scans) == 2
+        # on a rack, cancellation and a(bc) = (ab)(ac) at a generating set
+        # prove both self-distributive laws, so one triple scan serves
+        assert len(triple_scans) == (1 if verdict == "rack" else 2)
         doc = json.loads(text)
         assert doc["data"]["classified"] == verdict
         assert doc["checks"] == [{

@@ -103,8 +103,8 @@ def scanned(monkeypatch):
     scans = []
     real_scan = structures._scan
 
-    def spy(law, n, k, cap):
-        found = real_scan(law, n, k, cap)
+    def spy(law, n, k, cap, heads=None):
+        found = real_scan(law, n, k, cap, heads=heads)
         scans.append((n, k, found))
         return found
 
@@ -877,3 +877,170 @@ class TestTrigDerivedRack:
         scans = scanned(monkeypatch)
         assert rw.trig_derived_rack(ctx).kind == rw.RACK
         assert scans == []
+
+
+# A passing rack verdict is proved on a generating set (structures._proved):
+# each report must equal the plain scan of every law over the whole carrier.
+
+def _plain(s, names, cap=structures.WITNESS_CAP):
+    """The failures of the laws `names`, each scanned over all of s."""
+    return list(structures._failures(structures._named(
+        names, s.dot.entries, s.diamond.entries), s.n, cap))
+
+
+def _against_plain(s):
+    """Every report that _proved serves equals the plain scan of s."""
+    rack = structures._KIND_LAWS[rw.RACK]
+    weak = structures._KIND_LAWS[rw.WEAK_RACK]
+    assert rw.check_rack_axioms(s).failures == _plain(s, rack)
+    assert rw.check_weak_rack_axioms(s).failures == _plain(s, weak)
+    assert rw.check_rack_axioms(s, 1).failures == _plain(s, rack, 1)
+    for kind, laws in ((rw.RACK, rack), (rw.WEAK_RACK, weak)):
+        tagged = dataclasses.replace(s, kind=kind)
+        for cap in (s.n ** 3, 1):
+            assert (list(structures._law_failures(tagged, laws, cap))
+                    == _plain(s, laws, cap))
+        assert structures._kind_failure(tagged) == next(
+            iter(_plain(s, laws, 1)), None)
+    verdict, report = structures.classify(s)
+    assert report.failures == _plain(s, weak)
+    assert verdict == ("neither" if report.failures else
+                       rw.WEAK_RACK if _plain(s, rack, 1) else rw.RACK)
+
+
+def _with_inverse_rows(dot):
+    n, dot = len(dot), np.array(dot)
+    return rw.Structure(n, rw.OpTable(n, dot),
+                        rw.OpTable(n, np.argsort(dot, axis=1).T),
+                        rw.UNCHECKED)
+
+
+@st.composite
+def permutation_rows(draw):
+    """Dot rows that are permutations of n <= 6 points, with the diamond
+    their inverses, so that both cancellation laws hold: random rows, or
+    the affine rack ab = (1-t)a + tb + c (mod n) for a unit t, with c = 0
+    unless t = 1, whose generating set may be a proper subset."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return [draw(st.permutations(range(n))) for _ in range(n)]
+    t = draw(st.sampled_from([t for t in range(1, n + 1)
+                              if np.gcd(t, n) == 1]))
+    c = draw(st.integers(0, n - 1)) if t % n == 1 % n else 0
+    return [[((1 - t) * a + t * b + c) % n for b in range(n)]
+            for a in range(n)]
+
+
+class TestRackVerdictOnGenerators:
+    @settings(max_examples=200, deadline=None)
+    @given(permutation_rows(), st.data())
+    def test_reports_match_the_plain_scan(self, dot, data):
+        s = _with_inverse_rows(dot)
+        _against_plain(s)
+        # one entry changed: the cancellation laws then fail
+        n = s.n
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        changed = s.dot.entries.copy()
+        changed[a, b] = data.draw(st.integers(0, n - 1))
+        _against_plain(rw.Structure(n, rw.OpTable(n, changed), s.diamond,
+                                    rw.UNCHECKED))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_census_racks_and_a_row_swap_of_each_match_the_plain_scan(
+            self, n):
+        for d, _ in _census(n, False):
+            _against_plain(_with_inverse_rows(d))
+            swapped = [list(row) for row in d]
+            swapped[0], swapped[-1] = swapped[-1], swapped[0]
+            _against_plain(_with_inverse_rows(swapped))
+
+    @pytest.mark.parametrize("which, heads", [
+        # the identity is a class of its own, two transpositions give the
+        # third, and one 3-cycle the other
+        ("conj-s3", [0, 1, 2, 4]),
+        ("trivial", [0, 1, 2, 3, 4]),
+    ])
+    def test_a_passing_rack_scans_its_generators_alone(
+            self, monkeypatch, conj_s3, which, heads):
+        s = conj_s3 if which == "conj-s3" else rw.trivial_rack(5)
+        assert structures._generators(s.dot.entries) == heads
+        scans = headed_scans(monkeypatch)
+        assert rw.check_rack_axioms(s).passed
+        # left self-distributivity at the generators; the cancellation laws
+        # are evaluated without a scan, and right self-distributivity follows
+        assert scans == [(3, [(g,) for g in heads])]
+
+    def test_with_cancellation_a_failing_rack_scans_no_pair_law(
+            self, monkeypatch):
+        # L_0 swaps 0 and 1, the other rows are the identity: the
+        # cancellation laws hold, and a(bc) = (ab)(ac) fails at the
+        # generator 0, so both self-distributive laws are scanned in full
+        s = _with_inverse_rows([[1, 0, 2], [0, 1, 2], [0, 1, 2]])
+        expected = _plain(s, structures._KIND_LAWS[rw.RACK])
+        assert {law for law, _ in expected} == {AX_LEFT_DISTRIB,
+                                                AX_RIGHT_DISTRIB}
+        scans = headed_scans(monkeypatch)
+        assert rw.check_rack_axioms(s).failures == expected
+        assert scans == [(3, [(0,), (2,)]), (3, None), (3, None)]
+
+
+    def test_a_product_of_racks_scans_its_factors_at_their_generators(
+            self, monkeypatch, conj_s3):
+        trivial = rw.trivial_rack(2)
+        scans = headed_scans(monkeypatch)
+        assert rw.direct_product(conj_s3, trivial).kind == rw.RACK
+        # the factor filter asks each factor for all four laws at once, so
+        # right self-distributivity is proved there too, and the product
+        # itself is not scanned
+        assert scans == [(3, [(0,), (1,), (2,), (4,)]), (3, [(0,), (1,)])]
+
+
+def headed_scans(monkeypatch):
+    """A list that gets (arity, heads) of every law scanned through
+    structures._scan from now on."""
+    scans = []
+    real_scan = structures._scan
+
+    def spy(law, n, k, cap, heads=None):
+        scans.append((k, heads))
+        return real_scan(law, n, k, cap, heads=heads)
+
+    monkeypatch.setattr(structures, "_scan", spy)
+    return scans
+
+
+def _closure(t, gens):
+    """The closure of gens under the table t, in plain Python."""
+    inside = set(gens)
+    while True:
+        made = {t[x][y] for x in inside for y in inside} - inside
+        if not made:
+            return inside
+        inside |= made
+
+
+@st.composite
+def magmas(draw):
+    n = draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+
+
+class TestGenerators:
+    def _check(self, t):
+        gens = structures._generators(np.array(t))
+        carrier = set(range(len(t)))
+        for i, g in enumerate(gens):
+            # the least element outside the closure of those before it
+            assert g == min(carrier - _closure(t, gens[:i]))
+        assert _closure(t, gens) == carrier
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(magmas(), permutation_rows()))
+    def test_a_greedy_set_generates_the_carrier(self, t):
+        self._check(t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_on_the_census(self, n):
+        for d, _ in _census(n, False):
+            self._check(d)

@@ -1,12 +1,13 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackwork as rw
-from rackwork import euler
+from rackwork import euler, tables
 from rackwork.tables import _at, _narrow, _scan
 from conftest import S3_ELEMS, compose, invert, s3_mul_table
 
@@ -438,3 +439,104 @@ def test_unsigned_entries_beyond_int64_are_out_of_range():
         rw.OpTable(1, np.array([[2 ** 63]], dtype=np.uint64))
     with pytest.raises(rw.IndexOutOfRange):
         rw.OpTable(1, [[2 ** 64 - 1]])
+
+
+# validate_group proves associativity at the generators alone (Light's
+# test); the oracles below loop over every triple.
+
+def _group_by_loops(rows):
+    """The plain-loop verdict of validate_group on a table given by rows:
+    _group_parts_by_loops, or ("not associative", the first bad triple)."""
+    n = len(rows)
+    parts = _group_parts_by_loops(n, [v for row in rows for v in row])
+    if parts == "no identity" or parts[0] == "no inverse":
+        return parts
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return "not associative", (a, b, c)
+    return parts
+
+
+def _verdict(rows):
+    n = len(rows)
+    try:
+        g = rw.validate_group(rw.make_op_table(n, [v for r in rows for v in r]))
+    except rw.NoIdentity:
+        return "no identity"
+    except rw.NoInverse as exc:
+        return "no inverse", exc.element
+    except rw.NotAssociative as exc:
+        return "not associative", exc.witness
+    return g.identity, g.inv.tolist()
+
+
+def _cyclic(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def _symmetric(k):
+    """S_k on its permutations in lexicographic order; ab applies b first."""
+    elems = list(itertools.permutations(range(k)))
+    idx = {p: i for i, p in enumerate(elems)}
+    return [[idx[tuple(p[x] for x in q)] for q in elems] for p in elems]
+
+
+def _product(r1, r2):
+    n2 = len(r2)
+    return [[r1[x][u] * n2 + r2[y][v] for u in range(len(r1))
+             for v in range(n2)] for x in range(len(r1)) for y in range(n2)]
+
+
+@st.composite
+def loops(draw):
+    """A loop on n <= 6 points: a random isotope g(x, y) = c(G[a(x)][b(y)])
+    of a group G, turned into a loop with identity L(a0, b0) by
+    x o y = L(R^-1 x, L^-1 y).  Some are groups, the others are not
+    associative; every loop of order 4 or less is a group, so n = 5 and 6
+    are drawn more often.  One entry is sometimes changed as well, which
+    keeps an identity where it lies outside its row and column."""
+    n = draw(st.one_of(st.integers(1, 6), st.integers(5, 6)))
+    base = draw(st.sampled_from([_cyclic(n)]
+                                + ([_product(_cyclic(2), _cyclic(2))] if n == 4
+                                   else [])
+                                + ([_symmetric(3)] if n == 6 else [])))
+    al, be, ga = (draw(st.permutations(range(n))) for _ in range(3))
+    sq = [[ga[base[al[x]][be[y]]] for y in range(n)] for x in range(n)]
+    a0, b0 = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    right = {sq[x][b0]: x for x in range(n)}
+    left = {sq[a0][y]: y for y in range(n)}
+    rows = [[sq[right[x]][left[y]] for y in range(n)] for x in range(n)]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[x][y] = draw(st.integers(0, n - 1))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(loops())
+def test_validate_group_matches_a_plain_triple_loop(rows):
+    assert _verdict(rows) == _group_by_loops(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    *(_cyclic(n) for n in (1, 2, 3, 5, 8, 12)),
+    _symmetric(3), _symmetric(4), _product(_symmetric(3), _cyclic(4)),
+], ids=["z1", "z2", "z3", "z5", "z8", "z12", "s3", "s4", "s3xz4"])
+def test_groups_pass_validate_group(rows):
+    assert _verdict(rows) == _group_by_loops(rows)
+    assert isinstance(_verdict(rows)[0], int)
+
+
+def test_associativity_is_scanned_at_the_generators_alone(monkeypatch):
+    rows = _symmetric(4)
+    calls = []
+    real_scan = tables._scan
+
+    def spy(law, n, k, cap, heads=None):
+        calls.append(heads)
+        return real_scan(law, n, k, cap, heads=heads)
+
+    monkeypatch.setattr(tables, "_scan", spy)
+    g = rw.validate_group(rw.make_op_table(24, [v for r in rows for v in r]))
+    gens = tables._generators(g.mul.entries)
+    assert calls == [[(x,) for x in gens]] and len(gens) < 24

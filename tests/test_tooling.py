@@ -378,6 +378,23 @@ FACTOR_SETTERS = {
 }
 
 
+# Every scan given its own heads, which walks part of the carrier, with the
+# argument that makes that part enough: a new partial scan fails the test
+# until it is accounted for.
+HEADS_CALLERS = {
+    # the box-product mask is an OR of two pair masks, so a head (x, y)
+    # where neither row fails has no failure
+    "euler.py": ["check_exp_homomorphism"],
+    # with cancellation, the a at which L_a is an automorphism form a
+    # subrack (Fenn and Rourke), so a(bc) = (ab)(ac) at a generating set
+    # holds everywhere
+    "structures.py": ["_proved"],
+    # the b at which (ab)c = a(bc) holds for all a, c are closed under the
+    # product (Light's test)
+    "tables.py": ["validate_group"],
+}
+
+
 def test_the_keyword_check_finds_each_form():
     source = ("Structure(1, d, e, k, factors=(a, b))\n"
               "def f():\n    return g(x, factors=())\n"
@@ -393,3 +410,25 @@ def test_every_unscanned_kind_tag_is_accounted_for(path):
             == UNVERIFIED_CALLS.get(path.name, []))
     assert (keyword_sites(source, "factors")
             == FACTOR_SETTERS.get(path.name, []))
+
+
+def positional_heads(source: str) -> list[str]:
+    """The sites of each _scan call that passes heads by position, which
+    the keyword check would not see."""
+    return sites(source, lambda call: getattr(call.func, "id", None)
+                 == "_scan" and len(call.args) > 4)
+
+
+def test_the_heads_checks_find_each_form():
+    source = ("_scan(law, n, 3, 1, heads)\n"
+              "def f():\n    return _scan(law, n, 3, 1, heads=[(0,)])\n"
+              "def g():\n    return _scan(law, n, 3, 1)\n")
+    assert keyword_sites(source, "heads") == ["f"]
+    assert positional_heads(source) == [""]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_partial_scan_is_accounted_for(path):
+    source = path.read_text()
+    assert keyword_sites(source, "heads") == HEADS_CALLERS.get(path.name, [])
+    assert positional_heads(source) == []
